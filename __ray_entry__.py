@@ -20,7 +20,7 @@ Parity notes (why values hash-match across engines):
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from typing import Any
 
 SF_SMOKE = "/root/testdata/sf0.001"
@@ -935,8 +935,10 @@ sh64 AS (SELECT doc_id,
 """
 
 
-def oracle_sql() -> dict[str, str]:
-    return {
+def oracle_sql() -> Mapping[str, str]:
+    from openie_backend_ray.fixtures.oracles import OracleSQL
+
+    return OracleSQL({
         "explode_text_spans": """
             SELECT CAST(doc_id AS VARCHAR) AS doc_id,
                    CAST(CASE WHEN doc_id % 3 = 0 THEN 1 ELSE 0 END
@@ -1681,11 +1683,12 @@ def oracle_sql() -> dict[str, str]:
         # flagship_triples / openie4_triples: deliberately omitted (the
         # extraction pipelines themselves are not SQL-expressible;
         # their correctness gates are the pytest P/R fixtures) ->
-        # driver records the weaker rows-only check.  The post-group KG
-        # operators get their oracles from fixtures/oracles.py over
-        # exploded parquet views of the same golden GROUPS fixture.
-        **_kg_oracles(),
-    }
+        # driver records the weaker rows-only check.  OracleSQL adds
+        # the post-group KG operators' oracles from fixtures/oracles.py,
+        # over exploded parquet views of the same golden GROUPS
+        # fixture; those views are written on the first read of a KG
+        # entry, so the oracles above never read the reference.
+    })
 
 
 def _lang_marker_values() -> str:
@@ -1696,9 +1699,3 @@ def _lang_marker_values() -> str:
         for lang in sorted(_LANG_MARKERS)
         for tok in sorted(_LANG_MARKERS[lang])
     )
-
-
-def _kg_oracles() -> dict[str, str]:
-    from openie_backend_ray.fixtures.oracles import kg_oracle_sql
-
-    return kg_oracle_sql()

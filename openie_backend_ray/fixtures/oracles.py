@@ -16,6 +16,8 @@ weight sums in the typer, chr(30)-separated signature strings.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
+
 from openie_backend_ray.functions.normalize import (
     MODIFIER_TAGS_TO_STRIP,
     MODIFIERS_TO_KEEP,
@@ -125,9 +127,14 @@ hsig AS (SELECT gid, sig AS hsig FROM sig WHERE inst_idx = 0)"""
 
 
 def kg_oracle_sql() -> dict[str, str]:
-    from openie_backend_ray.fixtures.views import ensure_views
+    """The KG oracles' SQL text over the views under ``views_dir()``.
 
-    d = ensure_views()
+    Builds text only: the view files are not written here.  Hand the
+    result out through ``OracleSQL``, which writes them on the first
+    read of a KG entry."""
+    from openie_backend_ray.fixtures.views import views_dir
+
+    d = views_dir()
     V = _views_cte(d)
 
     sql: dict[str, str] = {}
@@ -647,3 +654,40 @@ def kg_oracle_sql() -> dict[str, str]:
     sql["group_extractions_salted"] = g1
 
     return sql
+
+
+class OracleSQL(Mapping[str, str]):
+    """Read-only name -> oracle SQL map: ``sql`` plus the KG oracles.
+
+    The KG views (``fixtures.views``) are derived from the reference's
+    golden fixtures.  They are written on the first read of an entry
+    whose SQL reads them, so the files exist before any such SQL
+    reaches the caller, and the other oracles (``media_features``
+    among them: it reads only ``documents``) never read the reference.
+    Without the reference, reading a view-backed entry raises
+    ``FileNotFoundError``."""
+
+    def __init__(self, sql: dict[str, str]):
+        from openie_backend_ray.fixtures.views import views_dir
+
+        self._sql = {**sql, **kg_oracle_sql()}
+        d = views_dir()
+        self._reads_views = {k for k, v in self._sql.items() if d in v}
+
+    def __getitem__(self, name: str) -> str:
+        if name in self._reads_views:
+            from openie_backend_ray.fixtures.views import ensure_views
+
+            ensure_views()
+        return self._sql[name]
+
+    def __contains__(self, name: object) -> bool:
+        # Mapping's default goes through __getitem__ and would write
+        # the views for a membership test
+        return name in self._sql
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._sql)
+
+    def __len__(self) -> int:
+        return len(self._sql)

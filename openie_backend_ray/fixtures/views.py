@@ -23,8 +23,9 @@ so the oracle independently re-derives the operator logic.
 
 Both engines consume the SAME fixture: Ray via ``build_groups_table``
 (nested), DuckDB via these files (flat).  ``ensure_views()`` writes
-them idempotently (atomic rename) and is called from ``oracle_sql()``
-so the files exist whenever the driver runs the SQL.
+them idempotently (atomic rename).  ``oracle_sql()`` calls it on the
+first read of a KG oracle, so the files exist whenever the driver runs
+the KG SQL; the non-KG oracles never read the reference.
 """
 
 from __future__ import annotations

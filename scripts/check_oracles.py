@@ -9,6 +9,7 @@ order-insensitive value hash. Usage:
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import duckdb
 import pandas as pd
@@ -56,7 +57,7 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     import __ray_entry__ as E
 
     qs, sqls = E.queries(), E.oracle_sql()

@@ -5,12 +5,14 @@ parity spot checks at sf0.001."""
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import duckdb
 import pyarrow as pa
 import pytest
 
 SF = "/root/testdata/sf0.001"
+REPO = str(Path(__file__).resolve().parents[1])
 
 
 def _batch(ids, texts):
@@ -289,7 +291,7 @@ def test_source_mix_shares(ray_session):
 def test_curation_oracle_parity(ray_session, name):
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, REPO)
     import __ray_entry__ as E
 
     got = E.queries()[name](SF).to_pandas()

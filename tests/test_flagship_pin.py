@@ -21,6 +21,10 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import requires_reference
+
+pytestmark = requires_reference
+
 SF_DIR = "/root/testdata/sf0.001"
 
 # pinned on the fixed corpus: sf0.001 documents + fixture corpus at

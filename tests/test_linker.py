@@ -8,6 +8,8 @@ import pytest
 from openie_backend_ray.functions.headphrase import head_phrase
 from openie_backend_ray.functions.lnrm import lnrm
 
+from conftest import requires_reference
+
 
 def test_lnrm():
     assert lnrm("Café au Lait!") == "cafeaulait"
@@ -61,6 +63,7 @@ def linked(ray_session):
     ).to_pandas()
 
 
+@requires_reference
 def test_entity_link_recall(linked):
     """>=95% of fixture entity links are reproduced (same fbid) on the
     triples the pipeline matches, with the linker mechanism running for
@@ -89,6 +92,7 @@ def test_entity_link_recall(linked):
     assert hit / tot >= 0.95
 
 
+@requires_reference
 def test_types_attached(linked):
     n_typed = sum(
         1

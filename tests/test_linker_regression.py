@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import requires_reference
+
 
 @pytest.fixture(scope="module")
 def diff(ray_session):
@@ -31,12 +33,14 @@ def diff(ray_session):
     )
 
 
+@requires_reference
 def test_link_diff_joins_every_group(diff):
     from openie_backend_ray.fixtures.conformance import clean_groups
 
     assert diff["total_groups"] == len(clean_groups())
 
 
+@requires_reference
 def test_link_recall_and_drift_bounds(diff):
     """Published regression gate (BASELINE.md): per-arg link recall
     (before-links kept, same or changed fbid counts as kept only if

@@ -14,7 +14,10 @@ from openie_backend_ray.functions.normalize import (
 )
 from openie_backend_ray.functions.stemmer import stem
 
+from conftest import requires_reference
 
+
+@requires_reference
 def test_fixture_counts(golden_extractions, golden_groups):
     assert len(golden_extractions) == 317
     assert len(golden_groups) == 999
@@ -74,6 +77,7 @@ def test_key_string_format():
     assert key_string(("a b", "c", "d")) == "a b__c__d"
 
 
+@requires_reference
 def test_index_key_parity_on_clean_groups(golden_groups):
     """>=99% of round-trip-clean golden groups must reproduce their stored
     (arg1Norm, relNorm, arg2Norm) from some instance's layers."""
@@ -90,6 +94,7 @@ def test_index_key_parity_on_clean_groups(golden_groups):
     assert hit / len(cg) >= 0.99
 
 
+@requires_reference
 def test_index_key_parity_all_groups_floor(golden_groups):
     """Raw parity over ALL 999 groups (incl. TSV-corrupted rows) stays
     above a floor — guards against the clean-filter hiding regressions."""
@@ -104,6 +109,7 @@ def test_index_key_parity_all_groups_floor(golden_groups):
     assert hit / len(golden_groups) >= 0.83
 
 
+@requires_reference
 def test_extraction_tsv_round_trip(golden_extractions):
     """deserialize(serialize(x)) == x over all golden extractions —
     the reference's own test strategy
@@ -116,6 +122,7 @@ def test_extraction_tsv_round_trip(golden_extractions):
         assert back == e
 
 
+@requires_reference
 def test_group_tsv_round_trip(golden_groups):
     """Groups round-trip through our writer+parser (structure identity:
     norms, entities, types, instance layers/intervals)."""
@@ -152,6 +159,7 @@ def test_nell_type_map():
     assert nell_type_for("/no/suchtype") is None
 
 
+@requires_reference
 def test_confidence_fitted_tracks_golden():
     """M6 fidelity gate: the shipped fitted weights must rank-correlate
     with the reference-produced golden confidences clearly better than

@@ -15,6 +15,8 @@ from openie_backend_ray.stages.openie4 import (
     split_kinds,
 )
 
+from conftest import requires_reference
+
 TOKS = ["Ada", ",", "the", "mother", "of", "programming", ",",
         "wrote", "programs", "."]
 TAGS = ["NNP", ",", "DT", "NN", "IN", "NN", ",", "VBD", "NNS", "."]
@@ -287,6 +289,7 @@ def test_fused_openie4_matches_staged(ray_session):
     assert len(f) == 1 and int(f.iloc[0]["size"]) == len(PATTERN_CASES)
 
 
+@requires_reference
 def test_openie4_unique_front_end_raw_counts(ray_session):
     """The OpenIE4 fused path's unique-sentence front-end must carry
     occurrence weights through the keyed batch (span_idx lookup):

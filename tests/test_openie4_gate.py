@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import requires_reference
+
 
 def _iv_overlap(a, b):
     return max(a[0], b[0]) < min(a[1], b[1])
@@ -64,6 +66,7 @@ def measured():
             "trips": n_trips}
 
 
+@requires_reference
 def test_srl_exact_triple_recall(measured):
     """>= 0.90 of golden ReVerb triples are recovered with EXACT
     (arg1, rel, arg2) token intervals by triplized ChunkSrl frames."""
@@ -71,12 +74,14 @@ def test_srl_exact_triple_recall(measured):
     assert measured["exact"] / measured["total"] >= 0.90
 
 
+@requires_reference
 def test_srl_overlap_triple_recall(measured):
     """>= 0.94 at all-parts-overlap (the frame found the right
     constituents, intervals off by attachment)."""
     assert measured["overlap"] / measured["total"] >= 0.94
 
 
+@requires_reference
 def test_srl_frame_fanout_bounded(measured):
     """Precision guard for the variant rules: the bridge / of-split /
     prep / subject-hop / adverb / chain / coord fan-out must stay bounded (8.97 triples per

@@ -3,12 +3,15 @@ checks against DuckDB at sf0.001 (the same comparison the driver runs)."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import duckdb
 import pandas as pd
 import pyarrow as pa
 import pytest
 
 SF = "/root/testdata/sf0.001"
+REPO = str(Path(__file__).resolve().parents[1])
 
 
 def _docs_batch():
@@ -330,7 +333,7 @@ def test_oracle_parity_spot(ray_session, name):
     order-insensitive values vs the DuckDB oracle at sf0.001."""
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, REPO)
     import __ray_entry__ as E
 
     got = E.queries()[name](SF).to_pandas()
@@ -348,10 +351,34 @@ def test_oracle_parity_spot(ray_session, name):
     assert gs == ws
 
 
+def test_oracle_sql_writes_views_only_for_view_backed_entries(monkeypatch):
+    """The KG fixture views (built from the reference) are written only
+    when an entry whose SQL reads them is handed out, so the other
+    oracles run without the reference."""
+    import sys
+
+    sys.path.insert(0, REPO)
+    import __ray_entry__ as E
+    from openie_backend_ray.fixtures import views
+
+    calls = []
+    monkeypatch.setattr(
+        views, "ensure_views", lambda: calls.append(1) or views.views_dir()
+    )
+    sqls = E.oracle_sql()
+    assert "dedup_exact" in sqls and "extreme_filter" in sqls
+    assert "no_such_query" not in sqls
+    for name in ("dedup_exact", "media_features", "lang_id"):
+        assert views.views_dir() not in sqls[name]
+    assert not calls
+    assert views.views_dir() in sqls["extreme_filter"]
+    assert calls
+
+
 def test_ann_topk_ranks(ray_session):
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, REPO)
     import __ray_entry__ as E
 
     out = E.queries()["ann_topk"](SF).to_pandas()
@@ -624,7 +651,7 @@ def test_kg_entries_inside_driver_window():
     registration-order comment in __ray_entry__.queries)."""
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, REPO)
     import __ray_entry__ as E
 
     order = list(E.queries().keys())

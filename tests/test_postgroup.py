@@ -8,6 +8,8 @@ import pytest
 
 from openie_backend_ray import schema as S
 
+from conftest import requires_reference
+
 
 def _mk_inst(tokens, tags, a1, rel, a2, conf=0.95, corpus="cw"):
     n = len(tokens)
@@ -261,6 +263,7 @@ def test_incremental_delta(ray_session):
     assert len(key) >= 1
 
 
+@requires_reference
 def test_incremental_relink_sweet_spot(ray_session):
     """IndexModifier.scala:89-97: a second delta run relinks EXACTLY the
     merged groups the delta touched whose new size is in

@@ -12,6 +12,8 @@ from openie_backend_ray.stages.postprocess import (
 )
 from openie_backend_ray.state import checkpoint
 
+from conftest import requires_reference
+
 
 def _inst(sentence: str, a1, r, a2, conf=0.9, corpus="cw"):
     toks = sentence.split(" ")
@@ -161,6 +163,7 @@ def test_legacy_dedup_fragment_hash():
     assert dedup_instances_legacy(one, a1, rl, a2) == one
 
 
+@requires_reference
 def test_legacy_dedup_batch_shapes():
     from openie_backend_ray.fixtures.corpus import build_groups_table
     from openie_backend_ray.stages.postprocess import (

@@ -6,6 +6,8 @@ from openie_backend_ray.fixtures.conformance import clean_groups
 from openie_backend_ray.functions.normalize import index_key
 from openie_backend_ray.functions.reverb import _np_chunks, extract
 
+from conftest import requires_reference
+
 
 def test_np_chunks():
     assert _np_chunks(["B-NP", "I-NP", "O", "B-NP", "B-VP"]) == [(0, 2), (3, 4)]
@@ -23,6 +25,7 @@ def test_extract_no_np():
     assert extract(["runs"], ["VBZ"], ["B-VP"]) == []
 
 
+@requires_reference
 def test_golden_triple_recall(golden_groups):
     """The extractor + normalization reproduce >=92% of round-trip-clean
     golden groups' (arg1Norm, relNorm, arg2Norm) from raw sentence layers.

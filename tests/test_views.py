@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import pyarrow.parquet as pq
 
+from conftest import requires_reference
+
+pytestmark = requires_reference
+
 
 def test_views_match_fixture():
     from openie_backend_ray.fixtures.corpus import build_groups_table
