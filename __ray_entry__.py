@@ -43,23 +43,25 @@ def _read(sf_dir: str, table: str, columns=None):
     files/row groups, the condition is false, and NO repartition
     happens — an unconditional repartition would be an all-to-all
     exchange of the whole corpus."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray
     import ray.data
 
     path = f"{sf_dir}/{table}.parquet"
     ds = ray.data.read_parquet(path, columns=columns)
     try:
-        import pyarrow.parquet as pq
-
+        # a directory-shaped dataset, a missing path or a remote URI
+        # raises OSError: keep the read as it is
         meta = pq.ParquetFile(path).metadata
-        cpus = (int(ray.cluster_resources().get("CPU", 8))
-                if ray.is_initialized() else 8)
-        if meta.num_row_groups < cpus:
-            target = min(2 * cpus, max(1, meta.num_rows // 64))
-            if target > meta.num_row_groups:
-                ds = ds.repartition(target)
-    except Exception:
-        pass
+    except (OSError, pa.ArrowInvalid):
+        return ds
+    cpus = (int(ray.cluster_resources().get("CPU", 8))
+            if ray.is_initialized() else 8)
+    if meta.num_row_groups < cpus:
+        target = min(2 * cpus, max(1, meta.num_rows // 64))
+        if target > meta.num_row_groups:
+            ds = ds.repartition(target)
     return ds
 
 

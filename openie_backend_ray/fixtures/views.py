@@ -332,9 +332,11 @@ def ensure_views() -> str:
     if not all(
         os.path.exists(os.path.join(d, f"{n}.parquet")) for n in names
     ):
-        os.makedirs(d, exist_ok=True)
+        # build before creating the directory: without the reference
+        # the build raises, and must leave nothing behind
         views = build_views()
         views["extractions"] = build_extractions()
+        os.makedirs(d, exist_ok=True)
         for n in names:
             tmp = os.path.join(d, f".{n}.parquet.{os.getpid()}.tmp")
             pq.write_table(views[n], tmp)

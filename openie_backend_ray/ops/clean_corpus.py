@@ -44,7 +44,7 @@ def _anti_join_losers(ds, losers_ds):
     """LEFT-ANTI co-group: drop every ``ds`` row whose doc_id appears
     in ``losers_ds`` — side-tagged union, hash(doc_id) partitions, one
     vectorized pandas pass per partition.  Nothing is collected."""
-    from openie_backend_ray.ops.dedup import _with_part_on
+    from openie_backend_ray.ops.partition import with_part_on
 
     def tag_docs(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -72,7 +72,7 @@ def _anti_join_losers(ds, losers_ds):
     tagged = (
         ds.map_batches(tag_docs, batch_format="pyarrow")
         .union(losers_ds.map_batches(tag_losers, batch_format="pyarrow"))
-        .map_batches(_with_part_on("doc_id"), batch_format="pyarrow")
+        .map_batches(with_part_on("doc_id"), batch_format="pyarrow")
     )
     return tagged.groupby("part").map_groups(
         keep_part, batch_format="pyarrow"

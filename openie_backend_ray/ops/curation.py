@@ -334,7 +334,7 @@ def dup_ngram_coverage(ds, k: int = 5):
     invocations; the components.py partition pattern). Then a per-doc
     sum with a map-side Arrow combiner. Nothing materializes the gram
     table."""
-    from openie_backend_ray.ops.dedup import _with_part_on
+    from openie_backend_ray.ops.partition import with_part_on
 
     def occurrences(batch: pa.Table) -> pa.Table:
         oc = (_grams_frame(batch, k)
@@ -385,7 +385,7 @@ def dup_ngram_coverage(ds, k: int = 5):
 
     return (
         ds.map_batches(occurrences, batch_format="pyarrow")
-        .map_batches(_with_part_on("gram"), batch_format="pyarrow")
+        .map_batches(with_part_on("gram"), batch_format="pyarrow")
         .groupby("part")
         .map_groups(attach_multiplicity, batch_format="pyarrow")
         .map_batches(per_doc_partial, batch_format="pyarrow")

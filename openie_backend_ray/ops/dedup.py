@@ -32,6 +32,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from openie_backend_ray.ops.partition import with_part_on
+
 NUM_PERM = 12
 BANDS = 4  # rows per band = NUM_PERM // BANDS
 SHINGLE_K = 3
@@ -218,41 +220,8 @@ def minhash_bands_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-# Partition count for every hash-bucketed co-group. RESULTS are
-# independent of this number (each key's rows stay whole inside one
-# partition; the per-key logic inside is exact) — it sets only the
-# reduce-task granularity. 64 fits the 32-vCPU sandbox; on a real
-# cluster set GRAFT_BUCKET_PARTS to ~4x total cores so each reduce
-# task holds a worker-heap-sized slice of the keyspace.
-_BUCKET_NPART = int(os.environ.get("GRAFT_BUCKET_PARTS", "64") or "64")
-
-
-def _with_part_on(col: str):
-    """Deterministic hash partition on a string column (siphash via
-    ``pd.util.hash_array``, identical on every worker).  Grouping by
-    this partition instead of the raw high-cardinality key turns ~one
-    Python ``map_groups`` call per KEY (40k+ tiny calls at sf0.1)
-    into one vectorized pandas call per PARTITION; each partition
-    still holds every row of each of its keys, so the per-key logic
-    inside is exact.  ONE shared implementation — the partition count
-    and hash are determinism-critical, so every bucketed op (minhash,
-    simhash, winnowing, delta dedup, gram coverage) must use this
-    exact function."""
-    import pandas as pd
-
-    def fn(b: pa.Table) -> pa.Table:
-        # native dtype: string cols hash as object (unchanged), int64
-        # cols hash vectorized — both deterministic across processes
-        part = pd.util.hash_array(
-            b[col].to_pandas().to_numpy()
-        ) % _BUCKET_NPART
-        return b.append_column("part", pa.array(part.astype("int64")))
-
-    return fn
-
-
 def _with_bucket_part(b: pa.Table) -> pa.Table:
-    return _with_part_on("bucket")(b)
+    return with_part_on("bucket")(b)
 
 
 def _chain_mask(df, keys: list[str]) -> "np.ndarray":
@@ -539,7 +508,7 @@ def delta_dedup(delta_ds, store_ds, k: int = WINNOW_K, w: int = WINNOW_W,
     tagged = (
         delta_ds.map_batches(tag(0), batch_format="pyarrow")
         .union(store_ds.map_batches(tag(1), batch_format="pyarrow"))
-        .map_batches(_with_part_on("fp"), batch_format="pyarrow")
+        .map_batches(with_part_on("fp"), batch_format="pyarrow")
     )
     return (
         tagged.groupby("part")
@@ -771,12 +740,12 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.5,
                                    batch_format="pyarrow")
     joined = (
         pairs_t.union(docs_t)
-        .map_batches(_with_part_on("jkey"), batch_format="pyarrow")
+        .map_batches(with_part_on("jkey"), batch_format="pyarrow")
         .groupby("part")
         .map_groups(_attach_shingles_part, batch_format="pyarrow")
     )
     scored = (
-        joined.map_batches(_with_part_on("pair_id"), batch_format="pyarrow")
+        joined.map_batches(with_part_on("pair_id"), batch_format="pyarrow")
         .groupby("part")
         .map_groups(_score_pairs_part, batch_format="pyarrow")
     )
@@ -873,7 +842,7 @@ def simhash_pairs(ds, max_hamming: int = 3):
 
     blk = ds.map_batches(blocks, batch_format="pyarrow")
     cand = (
-        blk.map_batches(_with_part_on("block_val"),
+        blk.map_batches(with_part_on("block_val"),
                         batch_format="pyarrow")
         .groupby("part")
         .map_groups(pairs_part, batch_format="pyarrow")

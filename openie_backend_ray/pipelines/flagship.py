@@ -5,176 +5,69 @@ Reference flow (one Hadoop job per arrow, text checkpoints between):
     [sentence, url] -> chunk -> extract -> group(+conf) -> link ->
     filter -> index
 
-Ray Data flow (stages fuse under the streaming executor; the only
-all-to-all exchange is the grouping shuffle; a second, much smaller one
-canonicalizes):
+Ray Data flow. ``run_flagship`` is the one entry point for both inputs:
+interleaved documents (``doc_id, spans``) and the reference's
+``[sentence, url]`` lines (``text, source_url``). A documents table is
+the line input with ``source_url = ""``.
 
-    read documents (Parquet/Lance)
-      -> explode text spans                (vectorized Arrow)
-      -> ChunkerActor pool                 (lexicon/model per actor)
-      -> extract+key+conf                  (stateless flat map)
-      -> groupby(norm key) [salted]        (G1 shuffle, caps)
-      -> LinkerActor pool                  (crosswikis/fb dict shards)
-      -> instance dedup                    (per-group, G3)
-      -> filters                           (M7-M9, vectorized)
-      -> canonicalize                      (G4 second shuffle)
-      -> materialize triples               (sorted partitioned Parquet)
+    read documents or lines (Parquet/Lance)
+      -> unique_sentences       (map-side (text, url) counts, then a
+                                 hash exchange on text)
+      -> ExtractCombineActor    (chunk + ReVerb + key + confidence,
+                                 once per unique text; G1 map-side
+                                 combine)
+      -> merge_blob_shuffle     (G1 reduce, caps)
+      -> LinkerActor pool       (with side tables; else finalize_groups)
+      -> instance dedup         (per group, G3)
+      -> materialize_triples    (sorted Parquet)
+
+Filters (M7-M9, ``postprocess.filter_groups_batch``) and
+canonicalization (G4, ``canonicalize``) are separate jobs, like the
+reference's separately-invoked ones.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-import ray
 import ray.data
 
-from openie_backend_ray.stages.chunker import ChunkerActor
-from openie_backend_ray.stages.extractor import extract_batch
-from openie_backend_ray.stages.grouper import group_extractions
-from openie_backend_ray.stages.sentences import explode_text_spans
-from openie_backend_ray.util import actor_cpus, auto_pool
-
-
-def chunk_documents(
-    docs_ds: ray.data.Dataset,
-    lexicon_ref: Any | None = None,
-    chunker_concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 1024,
-) -> ray.data.Dataset:
-    """documents -> chunked sentences (M1)."""
-    sentences = docs_ds.map_batches(
-        explode_text_spans, batch_format="pyarrow", batch_size=batch_size
-    )
-    return sentences.map_batches(
-        ChunkerActor,
-        fn_constructor_kwargs={"lexicon_ref": lexicon_ref},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=chunker_concurrency or auto_pool(0.5),
-        num_cpus=actor_cpus(),
-    )
-
-
-def extract_and_group(
-    docs_ds: ray.data.Dataset,
-    lexicon_ref: Any | None = None,
-    corpus: str = "corpus",
-    chunker_concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 1024,
-) -> ray.data.Dataset:
-    """documents -> grouped (unlinked) ExtractionGroups (M1,M2,M5,M6,G1);
-    same fused map front-end as run_flagship."""
-    from openie_backend_ray.stages.extract_pipeline import (
-        extract_and_combine,
-    )
-    from openie_backend_ray.stages.grouper import (
-        finalize_groups,
-        merge_blob_shuffle,
-    )
-
-    partial = extract_and_combine(
-        docs_ds, lexicon_ref=lexicon_ref, corpus=corpus,
-        concurrency=chunker_concurrency,
-    )
-    merged = merge_blob_shuffle(partial)
-    return merged.map_batches(finalize_groups, batch_format="pyarrow")
+from openie_backend_ray.stages.extract_pipeline import extract_and_combine
+from openie_backend_ray.stages.grouper import (
+    finalize_groups,
+    merge_blob_shuffle,
+)
+from openie_backend_ray.stages.linker import link_groups
+from openie_backend_ray.stages.postprocess import dedup_groups_batch
 
 
 def run_flagship(
-    docs_ds: ray.data.Dataset,
+    ds: ray.data.Dataset,
     lexicon_ref: Any | None = None,
     side_tables_ref: Any | None = None,
     corpus: str = "corpus",
-    chunker_concurrency: int | tuple[int, int] | None = None,
-    linker_concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 1024,
     dedup: bool = True,
-    do_filter: bool = False,
-    do_canonicalize: bool = False,
 ) -> ray.data.Dataset:
-    """Full pipeline: documents -> linked (optionally deduped / filtered /
-    canonicalized) ExtractionGroups.
+    """Full pipeline: documents or ``[sentence, url]`` lines -> linked
+    (optionally deduped) ExtractionGroups.
 
     Defaults mirror the reference fixture provenance (test-groups.txt is
-    grouper+linker output, pre-filter); filters and canonicalization are
-    separate profiles, like the reference's separately-invoked jobs."""
-    from openie_backend_ray.stages.canonicalize import canonicalize
-    from openie_backend_ray.stages.grouper import finalize_groups
-    from openie_backend_ray.stages.linker import link_groups
-    from openie_backend_ray.stages.postprocess import (
-        dedup_groups_batch,
-        filter_groups_batch,
+    grouper+linker output, pre-filter). Without ``side_tables_ref`` the
+    groups are left unlinked."""
+    blobs = merge_blob_shuffle(
+        extract_and_combine(ds, lexicon_ref=lexicon_ref, corpus=corpus)
     )
-
-    from openie_backend_ray.stages.extract_pipeline import (
-        extract_and_combine,
-    )
-    from openie_backend_ray.stages.grouper import merge_blob_shuffle
-
-    partial = extract_and_combine(
-        docs_ds, lexicon_ref=lexicon_ref, corpus=corpus,
-        concurrency=chunker_concurrency,
-    )
-    blobs = merge_blob_shuffle(partial)
     if side_tables_ref is not None:
-        groups = link_groups(blobs, side_tables_ref, linker_concurrency)
+        groups = link_groups(blobs, side_tables_ref)
     else:
         groups = blobs.map_batches(finalize_groups, batch_format="pyarrow")
     if dedup:
         groups = groups.map_batches(dedup_groups_batch, batch_format="pyarrow")
-    if do_filter:
-        groups = groups.map_batches(filter_groups_batch, batch_format="pyarrow")
-    if do_canonicalize:
-        groups = canonicalize(groups)
     return groups
 
 
-def run_flagship_sentences(
-    sent_ds: ray.data.Dataset,
-    lexicon_ref: Any | None = None,
-    side_tables_ref: Any | None = None,
-    corpus: str = "corpus",
-    chunker_concurrency: int | tuple[int, int] | None = None,
-    linker_concurrency: int | tuple[int, int] | None = None,
-    dedup: bool = True,
-    do_filter: bool = False,
-    do_canonicalize: bool = False,
-) -> ray.data.Dataset:
-    """Full pipeline over the reference's [sentence, url] LINE input
-    (``ScoobiReVerb.scala:62-107``): the URL-carrying fused front-end
-    (template+fill, see ``extract_and_combine_sentences``) keeps
-    per-sentence provenance on every instance without giving up the
-    memoized fused extraction. ``sent_ds`` columns: text, source_url."""
-    from openie_backend_ray.stages.canonicalize import canonicalize
-    from openie_backend_ray.stages.extract_pipeline import (
-        extract_and_combine_sentences,
-    )
-    from openie_backend_ray.stages.grouper import (
-        finalize_groups,
-        merge_blob_shuffle,
-    )
-    from openie_backend_ray.stages.linker import link_groups
-    from openie_backend_ray.stages.postprocess import (
-        dedup_groups_batch,
-        filter_groups_batch,
-    )
-
-    partial = extract_and_combine_sentences(
-        sent_ds, lexicon_ref=lexicon_ref, corpus=corpus,
-        concurrency=chunker_concurrency,
-    )
-    blobs = merge_blob_shuffle(partial)
-    if side_tables_ref is not None:
-        groups = link_groups(blobs, side_tables_ref, linker_concurrency)
-    else:
-        groups = blobs.map_batches(finalize_groups, batch_format="pyarrow")
-    if dedup:
-        groups = groups.map_batches(dedup_groups_batch, batch_format="pyarrow")
-    if do_filter:
-        groups = groups.map_batches(filter_groups_batch, batch_format="pyarrow")
-    if do_canonicalize:
-        groups = canonicalize(groups)
-    return groups
+# kept for perfbench/ imports
+run_flagship_sentences = run_flagship
 
 
 def materialize_triples(groups_ds: ray.data.Dataset, out_dir: str) -> None:

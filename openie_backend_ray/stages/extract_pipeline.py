@@ -1,34 +1,36 @@
-"""Fused map front-end: documents -> combined partial groups in ONE
-actor-pool stage (explode -> chunk -> extract -> key -> combine).
+"""Fused map front-end: documents or ``[sentence, url]`` lines ->
+combined partial groups, through one unique-sentence exchange and ONE
+actor-pool stage (chunk -> extract -> key -> combine).
 
 Why fused: as four separate Dataset operators, the streaming executor's
 resource allocator split the cluster across every operator and the
 CPU-heavy extract+combine stage ran with ~25% of the cluster (measured
 41s wall for 78 CPU-seconds of work on 8 CPUs). One actor-pool stage
-owns the pool it is given, and the per-batch combiner still sees a full
-document block's extractions. The reference fuses exactly the same way
+owns the pool it is given, and the per-batch combiner still sees a whole
+batch's extractions. The reference fuses exactly the same way
 when it chains grouper work into one job
 (``hadoop/.../ScoobiReVerbGrouperLinker.scala:20-33``).
 
-Why the TEXT-KEYED template memo: web corpora are duplication-heavy
+Why extraction runs once per TEXT: web corpora are duplication-heavy
 (the very reason the dedup ops family exists — the sf bench corpus is
 571,880 sentences over 8,535 uniques, 67x). A sentence's layers AND its
 extractions are a pure function of its text (lexicon + model state are
-fixed per actor), so the fused path memoizes ``text -> [(key, norms,
-instance)]`` directly and the per-occurrence cost collapses to one dict
-hit. This also removes the old fused path's Arrow round-trip: building
-a tokens/postags/chunks list-table only to ``to_pylist`` it straight
-back cost ~1s per 9k-sentence block (profiled at sf0.1).
+fixed per actor). The unique-sentence exchange collapses repeats to one
+weighted row per (text, url), and sorts a text's URL variants next to
+each other, so the actor extracts once per run of equal texts and each
+further (text, url) row costs one dict copy per instance. Instances are
+built directly in Python, with no Arrow round-trip: building a
+tokens/postags/chunks list-table only to ``to_pylist`` it straight back
+cost ~1s per 9k-sentence block (profiled at sf0.1).
 
-Instances in the documents-input fused path carry ``source_url=""`` —
-the interleaved documents table has no per-sentence URL (the
-reference's ``[sentence, url]`` line input maps to span rows without
-provenance URLs, ``sources/interleaved.py``), which is also why the
-memoized instance templates are shareable verbatim across occurrences.
-A corpus WITH real per-sentence URLs goes through
-``extract_and_combine_sentences`` (template+fill): extraction is still
-memoized per unique text, and the per-occurrence URL is filled onto a
-COPY of each template — fused speed with full provenance.
+One front-end serves both inputs. The reference reads ``[sentence,
+url]`` lines (``ScoobiReVerb.scala:62-107``); the interleaved documents
+table is that input with ``url = ""``. ``unique_sentences`` turns either
+into ``(text, source_url, n)`` rows, and the actor fills each row's URL
+onto a copy of the text's instance templates. Instance identity
+excludes the URL (the G1 oracle's dedup signature,
+``grouper._inst_sig``), so same-sentence instances under several URLs
+collapse to one, which keeps the smallest URL.
 """
 
 from __future__ import annotations
@@ -44,21 +46,14 @@ from openie_backend_ray.stages.sentences import explode_text_spans
 
 
 class ExtractCombineActor(ChunkerActor):
-    """documents batch -> BLOB_GROUPS partial rows (M1+M2+M5+M6+G1 map
-    side). Lexicon/model state loads once per actor (A1/A2)."""
-
-    _XMEMO_CAP = 200_000
+    """``unique_sentences`` batch -> BLOB_GROUPS partial rows
+    (M1+M2+M5+M6+G1 map side). Lexicon/model state loads once per
+    actor (A1/A2)."""
 
     def __init__(self, lexicon_ref=None, lexicon=None,
                  corpus: str = "corpus"):
         super().__init__(lexicon_ref=lexicon_ref, lexicon=lexicon)
         self.corpus = corpus
-        # text -> [(key_string, key_tuple, instance_template)]; one
-        # entry per UNIQUE sentence, templates shared by reference
-        # across occurrences (see module docstring). Separate from
-        # ChunkerActor._memo by design: the layers memo serves the
-        # standalone chunker stage, this one subsumes it here.
-        self._xmemo: dict[str, list] = {}
 
     def _extract_text(self, s: str) -> list:
         """Layers + ReVerb + key + confidence for ONE unique sentence."""
@@ -90,60 +85,40 @@ class ExtractCombineActor(ChunkerActor):
         return found
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if "n" in batch.column_names:
-            if "source_url" in batch.column_names:
-                # URL-carrying unique front-end rows (text, source_url,
-                # n): TEMPLATE + FILL — extraction is memoized per
-                # unique TEXT (rows are partitioned by text, so a
-                # text's URL variants co-locate and hit the memo), and
-                # the per-occurrence URL is attached onto a COPY of
-                # each memoized instance template. Keeps the fused
-                # path's speed on duplicated corpora while preserving
-                # the reference's per-sentence provenance
-                # (ScoobiReVerb.scala:62-107 [sentence, url] input).
-                rows: list = []
-                xm = self._xmemo
-                for s, u, n in zip(batch["text"].to_pylist(),
-                                   batch["source_url"].to_pylist(),
-                                   batch["n"].to_pylist()):
-                    found = xm.get(s)
-                    if found is None:
-                        found = self._extract_text(s)
-                        if len(xm) >= self._XMEMO_CAP:
-                            xm.clear()  # epoch eviction
-                        xm[s] = found
-                    for ks, k, inst in found:
-                        rows.append(
-                            (ks, k, {**inst, "source_url": u}, n)
-                        )
-                return combine_rows(rows)
-            # unique-sentence front-end rows (text, n): every text is
-            # globally distinct, extract once, carry the occurrence
-            # count as the combiner weight (raw_count stays exact)
-            rows = []
-            for s, n in zip(batch["text"].to_pylist(),
-                            batch["n"].to_pylist()):
-                for ks, k, inst in self._extract_text(s):
-                    rows.append((ks, k, inst, n))
-            return combine_rows(rows)
-        sentences = explode_text_spans(batch)
-        texts = sentences["text"].to_pylist()
-        xm = self._xmemo
-        rows = []
-        for s in texts:
-            found = xm.get(s)
-            if found is None:
-                found = self._extract_text(s)
-                if len(xm) >= self._XMEMO_CAP:
-                    xm.clear()  # epoch eviction, O(1) amortized
-                xm[s] = found
-            rows.extend(found)
+        """``unique_sentences`` rows (text, source_url, n): TEMPLATE +
+        FILL. A text's URL variants are adjacent (``unique_sentences``
+        sorts by text), so extraction runs once per run of equal texts;
+        each row's URL goes onto a COPY of each instance template, and
+        ``n`` is the combiner weight, so ``raw_count`` counts every
+        occurrence."""
+        rows: list = []
+        prev, found = None, ()
+        for s, u, n in zip(batch["text"].to_pylist(),
+                           batch["source_url"].to_pylist(),
+                           batch["n"].to_pylist()):
+            if s != prev:
+                prev, found = s, self._extract_text(s)
+            for ks, k, inst in found:
+                rows.append((ks, k, {**inst, "source_url": u}, n))
         return combine_rows(rows)
 
 
-def unique_sentences(docs_ds):
-    """documents -> globally-unique (text, n) sentence rows via ONE
-    hash-partition shuffle of the exploded sentence texts.
+def _counts(s) -> pa.Table:
+    """pandas counts indexed by (text, source_url) -> Arrow rows."""
+    return pa.table(
+        {"text": pa.array(s.index.get_level_values(0), pa.string()),
+         "source_url": pa.array(s.index.get_level_values(1), pa.string()),
+         "n": pa.array(s.to_numpy(), pa.int64())}
+    )
+
+
+def unique_sentences(ds):
+    """documents or ``[sentence, url]`` lines -> globally-unique
+    (text, source_url, n) rows via ONE exchange PARTITIONED BY TEXT.
+
+    A batch with ``spans`` is a documents batch: its text spans are
+    exploded and carry ``source_url = ""``. Any other batch is line
+    input: ``text``, plus ``source_url`` when the column exists.
 
     Dedup-before-extract: web corpora are duplication-heavy, and
     per-actor memoization still re-tags every unique sentence once PER
@@ -154,45 +129,48 @@ def unique_sentences(docs_ds):
     rows and makes total extraction work independent of the pool
     size; it also collapses the G1 combiner input to unique
     extractions with occurrence weights (827k partial rows -> ~20k at
-    sf0.1).  Sound for this path because extraction is a pure function
-    of the sentence text (instances carry no per-occurrence URL — see
-    the module docstring)."""
-    from openie_backend_ray.ops.dedup import _with_part_on
+    sf0.1). Occurrences collapse per (text, url) pair, so raw counts
+    stay exact, while partitioning on text alone co-locates a
+    sentence's URL variants, and the reduce emits them sorted by text,
+    so the extract actor extracts each unique text once."""
+    import pandas as pd
+
+    from openie_backend_ray.ops.partition import with_part_on
 
     def partial_counts(b: pa.Table) -> pa.Table:
-        # Map-side combiner: per-block value_counts BEFORE the
-        # exchange, so the shuffle carries (text, n) partials — one
-        # row per text unique WITHIN the block — instead of every raw
-        # occurrence. On a 30-67x duplicated corpus the exchanged row
-        # count drops by the per-block dup factor; at 100 TB this is
-        # the difference between shuffling the whole corpus text and
-        # shuffling ~its unique fraction. Semantics identical: the
-        # reduce side sums n per text.
-        vc = (
-            explode_text_spans(b)["text"].to_pandas()
-            .value_counts(sort=False)
-        )
-        return pa.table(
-            {"text": pa.array(vc.index, pa.string()),
-             "n": pa.array(vc.to_numpy(), pa.int64())}
-        )
+        # Map-side combiner: per-block (text, url) counts BEFORE the
+        # exchange, so the shuffle carries (text, source_url, n)
+        # partials instead of every raw occurrence. On a 30-67x
+        # duplicated corpus the exchanged row count drops by the
+        # per-block dup factor. Semantics identical: the reduce side
+        # sums n per (text, url).
+        if "spans" in b.column_names:
+            b = explode_text_spans(b)
+        df = pd.DataFrame({"text": b["text"].to_pandas()})
+        df["source_url"] = (b["source_url"].to_pandas()
+                            if "source_url" in b.column_names else "")
+        return _counts(df.groupby(["text", "source_url"],
+                                  sort=False).size())
 
     def uniq(g: pa.Table) -> pa.Table:
-        df = g.select(["text", "n"]).to_pandas()
-        s = df.groupby("text", sort=False)["n"].sum()
-        return pa.table(
-            {"text": pa.array(s.index, pa.string()),
-             "n": pa.array(s.to_numpy(), pa.int64())}
-        )
+        df = g.select(["text", "source_url", "n"]).to_pandas()
+        return _counts(df.groupby(["text", "source_url"],
+                                  sort=True)["n"].sum())
 
+    # The combine window: the wider it is, the more duplicates collapse
+    # before the exchange. Documents combine over 4,096-doc batches
+    # (measured at sf0.1: 1,146-doc read blocks dedup only 27%
+    # in-block; 4,096-doc batches see ~4x the window). Lines combine
+    # over whole read blocks, which hold far more than 4,096 sentences
+    # when the files are large: on web_dup's 179k sentences as 8 line
+    # files, 4,096-row batches exchanged 101,875 rows, whole blocks
+    # 46,666.
+    schema = ds.schema()
+    docs = schema is not None and "spans" in schema.names
     return (
-        # combine over LARGE doc batches: the wider the per-call window,
-        # the more cross-document duplicates collapse before the
-        # exchange (measured at sf0.1: 1,146-doc read blocks dedup only
-        # 27% in-block; 4,096-doc batches see ~4x the window)
-        docs_ds.map_batches(partial_counts, batch_format="pyarrow",
-                            batch_size=4096)
-        .map_batches(_with_part_on("text"), batch_format="pyarrow")
+        ds.map_batches(partial_counts, batch_format="pyarrow",
+                       batch_size=4096 if docs else None)
+        .map_batches(with_part_on("text"), batch_format="pyarrow")
         .groupby("part")
         .map_groups(uniq, batch_format="pyarrow")
         # shuffle-free block split: the sort/map_groups exchange packs
@@ -205,88 +183,25 @@ def unique_sentences(docs_ds):
     )
 
 
-def unique_sentence_urls(sent_ds):
-    """[sentence, url] rows -> globally-unique (text, source_url, n)
-    rows via one exchange PARTITIONED BY TEXT.
-
-    The URL-carrying twin of ``unique_sentences``: occurrences collapse
-    per (text, url) pair — raw counts stay exact — while partitioning
-    on text alone co-locates a sentence's URL variants so the extract
-    actor's template memo fires once per unique text. Same map-side
-    combiner shape: per-block (text, url) value_counts BEFORE the
-    exchange, n summed on the reduce side."""
-    from openie_backend_ray.ops.dedup import _with_part_on
-
-    def partial_counts(b: pa.Table) -> pa.Table:
-        df = pa.table(
-            {"text": b["text"], "source_url": b["source_url"]}
-        ).to_pandas()
-        s = df.groupby(["text", "source_url"], sort=False).size()
-        return pa.table(
-            {"text": pa.array(s.index.get_level_values(0), pa.string()),
-             "source_url": pa.array(
-                 s.index.get_level_values(1), pa.string()),
-             "n": pa.array(s.to_numpy(), pa.int64())}
-        )
-
-    def uniq(g: pa.Table) -> pa.Table:
-        df = g.select(["text", "source_url", "n"]).to_pandas()
-        s = df.groupby(["text", "source_url"], sort=False)["n"].sum()
-        return pa.table(
-            {"text": pa.array(s.index.get_level_values(0), pa.string()),
-             "source_url": pa.array(
-                 s.index.get_level_values(1), pa.string()),
-             "n": pa.array(s.to_numpy(), pa.int64())}
-        )
-
-    return (
-        sent_ds.map_batches(partial_counts, batch_format="pyarrow")
-        .map_batches(_with_part_on("text"), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(uniq, batch_format="pyarrow")
-        # same shuffle-free block split as unique_sentences: spread the
-        # few post-exchange blocks across the extract actor pool
-        .repartition(target_num_rows_per_block=512)
-    )
-
-
-def extract_and_combine_sentences(sent_ds, lexicon_ref=None,
-                                  corpus: str = "corpus",
-                                  concurrency=None):
-    """[sentence, url] corpus -> partial blob-group rows, URL-carrying
-    fused path (the reference's ``ScoobiReVerb.scala:62-107`` line
-    input): template+fill — extraction memoized per unique text, the
-    per-occurrence URL filled onto instance copies, occurrence counts
-    carried as combiner weights. Output is identical to the unfused
-    chunk -> extract_batch -> group path on the same input (instance
-    identity excludes the URL per the G1 oracle's dedup signature, so
-    same-sentence instances keep the deterministically-first URL)."""
+def extract_and_combine(ds, lexicon_ref=None, corpus: str = "corpus"):
+    """documents or ``[sentence, url]`` lines -> partial blob-group
+    rows, ready for the G1 shuffle: the unique-sentence exchange, then
+    the fused extract actor pool. Output is identical to the unfused
+    chunk -> extract_batch -> group path on the same input."""
     from openie_backend_ray.util import actor_cpus, auto_pool
 
-    return unique_sentence_urls(sent_ds).map_batches(
-        ExtractCombineActor,
-        fn_constructor_kwargs={"lexicon_ref": lexicon_ref,
-                               "corpus": corpus},
-        batch_format="pyarrow",
-        batch_size=512,
-        concurrency=concurrency or auto_pool(0.7),
-        num_cpus=actor_cpus(),
-    )
-
-
-def extract_and_combine(docs_ds, lexicon_ref=None, corpus: str = "corpus",
-                        concurrency=None):
-    """documents -> partial blob-group rows, ready for the G1 shuffle:
-    unique-sentence dedup shuffle, then the fused extract actor over
-    (text, n) rows."""
-    from openie_backend_ray.util import actor_cpus, auto_pool
-
-    return unique_sentences(docs_ds).map_batches(
+    return unique_sentences(ds).map_batches(
         ExtractCombineActor,
         fn_constructor_kwargs={"lexicon_ref": lexicon_ref,
                                "corpus": corpus},
         batch_format="pyarrow",
         batch_size=512,  # spread unique texts across the pool
-        concurrency=concurrency or auto_pool(0.7),
+        concurrency=auto_pool(0.7),
         num_cpus=actor_cpus(),
     )
+
+
+# kept for perfbench/ imports
+unique_sentence_urls = unique_sentences
+# kept for perfbench/ imports
+extract_and_combine_sentences = extract_and_combine

@@ -262,15 +262,15 @@ def _merge_blob_part(g: pa.Table, group_cols: tuple[str, ...] = ("key",),
 
 def merge_blob_shuffle(partial, drop: bool = True):
     """The G1 reduce as a partitioned shuffle: hash-partition the
-    partial rows on ``key`` (the shared ``_with_part_on`` bucketing),
+    partial rows on ``key`` (the shared ``with_part_on`` bucketing),
     group by the partition id, and merge each partition's keys in one
     vectorized call.  Key skew stays bounded because the rows entering
     the shuffle are already per-block combiner partials (a hot key
     contributes at most one capped row per upstream block)."""
-    from openie_backend_ray.ops.dedup import _with_part_on
+    from openie_backend_ray.ops.partition import with_part_on
 
     return (
-        partial.map_batches(_with_part_on("key"), batch_format="pyarrow")
+        partial.map_batches(with_part_on("key"), batch_format="pyarrow")
         .groupby("part")
         .map_groups(lambda g: _merge_blob_part(g, drop=drop),
                     batch_format="pyarrow")
@@ -389,7 +389,7 @@ def group_extractions_salted(
     salted = partial.map_batches(add_salt, batch_format="pyarrow")
     # phase-1 partitions on (key, salt) — the salt MUST reach the
     # partition hash or a hot key still lands on one reducer
-    from openie_backend_ray.ops.dedup import _with_part_on
+    from openie_backend_ray.ops.partition import with_part_on
 
     def add_ks(batch: pa.Table) -> pa.Table:
         ks = [f"{k}\x1f{s}" for k, s in
@@ -398,7 +398,7 @@ def group_extractions_salted(
 
     phase1 = (
         salted.map_batches(add_ks, batch_format="pyarrow")
-        .map_batches(_with_part_on("ks"), batch_format="pyarrow")
+        .map_batches(with_part_on("ks"), batch_format="pyarrow")
         .groupby("part")
         .map_groups(
             lambda g: _merge_blob_part(g, group_cols=("key", "salt"),

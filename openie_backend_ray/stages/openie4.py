@@ -769,8 +769,8 @@ def openie4_triples(chunked_ds, corpus: str = "corpus",
 
 
 class OpenIE4ExtractCombineActor:
-    """Fused map front-end for the OpenIE4 corpus path: documents ->
-    explode -> chunk -> Relnoun/SRL extract -> key -> combine, in ONE
+    """Fused map front-end for the OpenIE4 corpus path: unique
+    sentences -> chunk -> Relnoun/SRL extract -> key -> combine, in ONE
     actor-pool stage (same rationale as the flagship's
     ExtractCombineActor: split across 4 Dataset operators, the
     streaming executor's allocator gives the hot stage ~25% of the
@@ -789,36 +789,29 @@ class OpenIE4ExtractCombineActor:
         )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        """``unique_sentences`` rows (text, source_url, n): extract each
+        distinct sentence once; span_idx carries the batch row index so
+        each keyed extraction can look up its occurrence weight
+        (doc_id/span_idx are combiner-dropped provenance placeholders
+        on this path)."""
         import pyarrow.compute as pc
 
         from openie_backend_ray.stages.grouper import combine_batch
-        from openie_backend_ray.stages.sentences import explode_text_spans
 
-        if "n" in batch.column_names:
-            # unique-sentence front-end rows (text, n): extract each
-            # distinct sentence once; span_idx carries the batch row
-            # index so each keyed extraction can look up its
-            # occurrence weight (doc_id/span_idx are combiner-dropped
-            # provenance placeholders on this path)
-            ns = batch["n"].to_pylist()
-            sentences = pa.table(
-                {"doc_id": pa.array([""] * batch.num_rows, pa.string()),
-                 "span_idx": pa.array(range(batch.num_rows), pa.int32()),
-                 "text": batch["text"]}
-            )
-            chunked = self.chunker(sentences)
-            oie4 = self.oie4(chunked)
-            t_rows = oie4.filter(pc.equal(oie4["kind"], "T"))
-            keyed = openie4_keyed_batch(t_rows)
-            weights = pa.array(
-                [ns[i] for i in keyed["span_idx"].to_pylist()], pa.int64()
-            )
-            return combine_batch(keyed.append_column("weight", weights))
-        sentences = explode_text_spans(batch)
+        ns = batch["n"].to_pylist()
+        sentences = pa.table(
+            {"doc_id": pa.array([""] * batch.num_rows, pa.string()),
+             "span_idx": pa.array(range(batch.num_rows), pa.int32()),
+             "text": batch["text"]}
+        )
         chunked = self.chunker(sentences)
         oie4 = self.oie4(chunked)
         t_rows = oie4.filter(pc.equal(oie4["kind"], "T"))
-        return combine_batch(openie4_keyed_batch(t_rows))
+        keyed = openie4_keyed_batch(t_rows)
+        weights = pa.array(
+            [ns[i] for i in keyed["span_idx"].to_pylist()], pa.int64()
+        )
+        return combine_batch(keyed.append_column("weight", weights))
 
 
 def openie4_triples_from_documents(docs_ds, lexicon_ref=None,

@@ -4,16 +4,14 @@ from __future__ import annotations
 
 
 def auto_pool(frac: float = 0.5, lo: int = 1, hi: int = 64) -> tuple[int, int]:
-    """Autoscaling actor-pool bounds sized from the live cluster.
+    """Fixed actor-pool size ``(target, target)`` sized from the live
+    cluster, with ``target = frac * slots`` clamped to ``[lo, hi]``.
 
-    ``(max(lo, target/4), target)`` with ``target = frac * cpus``: a
-    fixed-size pool (`concurrency=N`) RESERVES its CPUs for the stage's
-    whole lifetime, and two fixed pools can starve the shuffle tasks
-    between them into deadlock on a small cluster (observed at
-    num_cpus=4 with two 2-actor pools). An autoscaling pool avoids
-    that, but a min of 1 ramps up too slowly for short jobs — a quarter
-    of the target as the floor keeps startup latency low while leaving
-    >= half the CPUs free for non-actor stages. The reference's
+    ``slots`` counts actor CPU shares (``actor_cpus``) and, on clusters
+    of 4 CPUs or fewer, keeps one full CPU free for shuffle tasks. The
+    pool is fixed, not autoscaling: every actor starts at once, and the
+    callers budget their fracs so the pools of one pipeline sum below
+    the cluster (flagship: 0.7 extract + 0.25 link). The reference's
     analogue is its mapper cap (20-40 linker mappers cluster-wide,
     ``docs/reverb-cluster-extraction-indexing.txt:145-147``).
     """
@@ -30,10 +28,9 @@ def auto_pool(frac: float = 0.5, lo: int = 1, hi: int = 64) -> tuple[int, int]:
     # FIXED size (min == max): measured on the fused flagship, the
     # autoscaling pool stayed at ~2 actors for a 26-block backlog and
     # the stage ran at 2x-parallel on an 8-CPU cluster. Fixed pools
-    # start every actor immediately; callers budget their fracs so the
-    # pools of one pipeline sum below the cluster (flagship: 0.6
-    # extract + 0.25 link, leaving >=15% for shuffle/map tasks — the
-    # deadlock guard that motivated autoscaling in the first place).
+    # reserve their CPUs for the stage's lifetime, so the fracs of one
+    # pipeline must leave room for its shuffle/map tasks or they
+    # deadlock (observed at num_cpus=4 with two 2-actor pools).
     return (target, target)
 
 

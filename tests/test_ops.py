@@ -375,6 +375,30 @@ def test_oracle_sql_writes_views_only_for_view_backed_entries(monkeypatch):
     assert calls
 
 
+def test_read_directory_shaped_table_keeps_every_row(ray_session,
+                                                      tmp_path):
+    """``_read`` on a directory-shaped ``<table>.parquet/`` dataset,
+    which the row-group probe cannot open as one file, still returns
+    every row."""
+    import sys
+
+    import pyarrow.parquet as pq
+
+    sys.path.insert(0, REPO)
+    import __ray_entry__ as E
+
+    d = tmp_path / "documents.parquet"
+    d.mkdir()
+    for i in range(3):
+        pq.write_table(
+            pa.table({"doc_id": pa.array(range(10 * i, 10 * i + 10),
+                                         pa.int64())}),
+            d / f"part-{i}.parquet",
+        )
+    ds = E._read(str(tmp_path), "documents", ["doc_id"])
+    assert sorted(r["doc_id"] for r in ds.take_all()) == list(range(30))
+
+
 def test_ann_topk_ranks(ray_session):
     import sys
 

@@ -4,12 +4,12 @@ the exploded parquet views the DuckDB oracles read."""
 from __future__ import annotations
 
 import pyarrow.parquet as pq
+import pytest
 
 from conftest import requires_reference
 
-pytestmark = requires_reference
 
-
+@requires_reference
 def test_views_match_fixture():
     from openie_backend_ray.fixtures.corpus import build_groups_table
     from openie_backend_ray.fixtures.views import build_views
@@ -37,6 +37,7 @@ def test_views_match_fixture():
     assert a1 == a1_expected
 
 
+@requires_reference
 def test_ensure_views_idempotent(tmp_path, monkeypatch):
     import openie_backend_ray.fixtures.views as V
 
@@ -51,6 +52,27 @@ def test_ensure_views_idempotent(tmp_path, monkeypatch):
     t2 = pq.read_table(f"{d2}/groups.parquet")
     assert t1.equals(t2)
 
+
+def test_ensure_views_failed_build_leaves_no_directory(tmp_path,
+                                                       monkeypatch):
+    """A build that cannot read the GROUPS fixture raises and creates
+    no views directory."""
+    import functools
+
+    import openie_backend_ray.fixtures.conformance as C
+    import openie_backend_ray.fixtures.views as V
+    from openie_backend_ray.fixtures.reverb_tsv import read_groups
+
+    monkeypatch.setenv("GRAFT_FIXTURE_VIEWS", str(tmp_path))
+    monkeypatch.setattr(V, "_ensured", None)
+    monkeypatch.setattr(C, "read_groups", functools.partial(
+        read_groups, str(tmp_path / "missing-groups.txt")))
+    with pytest.raises(FileNotFoundError):
+        V.ensure_views()
+    assert list(tmp_path.iterdir()) == []
+
+
+@requires_reference
 def test_extractions_view_roundtrip_and_g1_parity():
     """The keyed-extractions view (a) reconstructs losslessly into the
     grouper's input schema and (b) its pure-Python G1 result matches
