@@ -185,9 +185,6 @@ def run_query_bench(sf_dir: str) -> dict:
         "ann_topk", "ann_ivf",
         "token_stats", "quality_score", "lang_id", "fingerprint",
         "repetition_stats", "bpe_token_stats", "quality_gate",
-        "pricing_summary", "segment_revenue", "top_parts",
-        "events_daily", "events_sessions", "asof_orders",
-        "orders_in_range", "kmv_distinct_tokens",
         "decontaminate", "pii_redact", "stratified_sample",
         "pack_sequences", "source_mix", "dup_ngram_coverage", "mixture_resample",
         "media_features", "extreme_filter",

@@ -1,10 +1,11 @@
 """Training-data curation operators: benchmark decontamination, PII
-redaction, and stratified sampling over the flat ``documents`` table.
+redaction, and hash and stratified sampling over the flat ``documents``
+table.
 
 These are the "beyond the reference" curation stages a 100-TB
 training-data pipeline needs (GPT-3 appendix C's 13-gram overlap
 decontamination, C4-style pattern scrubbing, per-language sampling).
-All three follow the repo's scale rules:
+Each follows the repo's scale rules:
 
 - decontamination broadcasts the EVAL-side gram set (bounded: held-out
   benchmark suites are fixed-size by definition, megabytes not
@@ -13,10 +14,12 @@ All three follow the repo's scale rules:
 - redaction is pure vectorized RE2 (``pc.replace_substring_regex`` /
   ``pc.count_substring_regex``); pyarrow and DuckDB both embed RE2, so
   the DuckDB oracle matches byte-for-byte, not just approximately;
-- stratified sampling is the ``top_parts`` local-top-k shape: per-batch
-  per-bucket partial top-k, then one small per-bucket reduce — the
-  shuffle moves at most ``target x buckets x blocks`` rows, never the
-  corpus.
+- hash sampling is one stateless filter per batch: md5(key) below a
+  hex threshold, the seedless, engine-reproducible form of the
+  reference's Bernoulli ``FileSampler`` (M14);
+- stratified sampling is a local top-k: per-batch per-bucket partial
+  top-k, then one small per-bucket reduce — the shuffle moves at most
+  ``target x buckets x blocks`` rows, never the corpus.
 """
 
 from __future__ import annotations
@@ -189,6 +192,26 @@ def pii_redact(ds):
 
 
 # ---------------------------------------------------------------------------
+# M14: deterministic hash sample (the reference's Bernoulli FileSampler)
+# ---------------------------------------------------------------------------
+
+def hash_sample(ds, key: str = "doc_id", fraction_hex: str = "4"):
+    """Bernoulli-style sample keeping rows whose md5(key) starts below
+    ``fraction_hex`` (e.g. '4' keeps ~25%). Deterministic and identical
+    in SQL: md5(cast(key as varchar)) < '4'. Replaces the reference's
+    ``Random.nextDouble < f`` (``FileSampler.scala:52-54``)."""
+    def body(batch: pa.Table) -> pa.Table:
+        vals = batch[key].to_pylist()
+        mask = [
+            hashlib.md5(str(v).encode()).hexdigest() < fraction_hex
+            for v in vals
+        ]
+        return batch.filter(pa.array(mask, pa.bool_()))
+
+    return ds.map_batches(body, batch_format="pyarrow")
+
+
+# ---------------------------------------------------------------------------
 # stratified sampling (equal allocation per bucket, deterministic)
 # ---------------------------------------------------------------------------
 
@@ -201,8 +224,9 @@ def _md5_of_ids(ids) -> np.ndarray:
 
 def _md5_frac(ids) -> np.ndarray:
     """Exact 52-bit md5 fraction per id: int(md5[:13], 16) / 2^52 —
-    the engine-reproducible Bernoulli draw (the SQL twin reconstructs
-    the same value with the KMV hex->int trick). Values < 2^52 are
+    the engine-reproducible Bernoulli draw (the SQL twin rebuilds the
+    same value digit by digit from the first 13 hex chars). Values
+    < 2^52 are
     exact in float64, so the division and every comparison against a
     rate are bit-identical across engines. The per-id md5 is the one
     irreducible Python cost; everything downstream is numpy."""
@@ -221,7 +245,7 @@ def stratified_sample(ds, by: str = "lang", key: str = "doc_id",
     reproducible uniform permutation, so this is Bernoulli-quality
     sampling with an exact per-bucket count.
 
-    Scale shape (the ``top_parts`` pattern): per-batch per-bucket
+    Scale shape (a local top-k): per-batch per-bucket
     partial top-k first, bounding what moves downstream to
     ``target x buckets`` rows PER BLOCK, never the corpus. The partial
     is associative (top-k of a union of top-ks), so the default final

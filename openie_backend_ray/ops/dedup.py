@@ -142,7 +142,7 @@ def _shingles(toks: list[str], k: int = SHINGLE_K) -> set:
 # universal-hash permutation family over the 52-bit md5 prefix: ONE md5
 # per shingle (the old per-(perm, shingle) salted md5 was 12x the
 # hashing for the same LSH quality), then (a_p*h + b_p) mod M mixes.
-# Exact in both engines: 52-bit h via the KMV hex->int trick, mults in
+# Exact in both engines: 52-bit h rebuilt from 13 hex digits, mults in
 # DuckDB HUGEINT, M = 2^61 - 1.
 _MH_MOD = (1 << 61) - 1
 _MH_A = 2654435761  # Knuth multiplicative constants; a_p = A*p + 1

@@ -351,21 +351,6 @@ def _token_counts_partial(batch: pa.Table) -> pa.Table:
     )
 
 
-def top_tokens(ds, k: int = 20):
-    """Corpus wordcount top-k: per-batch value_counts partials -> one
-    small groupby sum -> sort desc (token asc ties) -> limit."""
-    partial = ds.map_batches(_token_counts_partial, batch_format="pyarrow")
-    agg = partial.groupby("token").sum("n")
-    return (
-        agg.map_batches(
-            lambda b: pa.table({"token": b["token"], "n": b["sum(n)"]}),
-            batch_format="pyarrow",
-        )
-        .sort(["n", "token"], descending=[True, False])
-        .limit(k)
-    )
-
-
 def vocab_stats(ds):
     """ONE-row global aggregate: total tokens + distinct tokens."""
     partial = ds.map_batches(_token_counts_partial, batch_format="pyarrow")
@@ -382,69 +367,4 @@ def vocab_stats(ds):
     # reduce via one-batch map (batch_size None over a repartition(1))
     return agg.repartition(1).map_batches(
         reduce_all, batch_format="pyarrow", batch_size=None
-    )
-
-
-# ---------------------------------------------------------------------------
-# KMV distinct sketch (k-minimum-values): mergeable, deterministic
-# ---------------------------------------------------------------------------
-
-KMV_K = 64
-
-
-def _kmv_partial(batch, k: int = KMV_K):
-    """Per-batch partial: the k smallest md5 hex hashes of the batch's
-    distinct tokens — a MERGEABLE sketch row (merging = union + take k
-    smallest), the map-side combiner for distinct-count estimation."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    toks = pc.unique(pc.list_flatten(
-        pc.split_pattern_regex(batch["text"], r"\s+")
-    )).to_pylist()
-    hs = sorted(hashlib.md5(t.encode()).hexdigest() for t in set(toks))[:k]
-    return pa.table({"h": pa.array(hs, pa.string())})
-
-
-def kmv_distinct_tokens(ds, k: int = KMV_K):
-    """Estimated distinct-token count via a KMV sketch: partials are
-    tiny (k hashes) and merge associatively, so the shuffle moves
-    k x blocks rows instead of the vocabulary.  Deterministic and
-    oracle-exact: the estimate is (k-1) / frac(kth_hash) where frac
-    uses the first 13 hex chars (52 bits — exact in a float64 on both
-    engines).  Returns one row: (estimate, kth_hash, n_hashes)."""
-    import pyarrow as pa
-
-    partial = ds.map_batches(
-        lambda b: _kmv_partial(b, k), batch_format="pyarrow"
-    )
-
-    def merge(b: pa.Table) -> pa.Table:
-        hs = sorted(set(b["h"].to_pylist()))[:k]
-        return pa.table({"h": pa.array(hs, pa.string())})
-
-    # two-level reduce: per-block merge happened in the partial; one
-    # tiny repartition(1)-free final merge via groupby on a constant
-    tagged = partial.map_batches(
-        lambda b: b.append_column(
-            "one", pa.array([1] * b.num_rows, pa.int64())
-        ),
-        batch_format="pyarrow",
-    )
-
-    def final(g: pa.Table) -> pa.Table:
-        hs = sorted(set(g["h"].to_pylist()))[:k]
-        if len(hs) < k:
-            est = float(len(hs))  # fewer distincts than k: exact
-        else:
-            frac = int(hs[-1][:13], 16) / float(2 ** 52)
-            est = (k - 1) / frac
-        return pa.table(
-            {"estimate": pa.array([est], pa.float64()),
-             "kth_hash": pa.array([hs[-1] if hs else ""], pa.string()),
-             "n_hashes": pa.array([len(hs)], pa.int64())}
-        )
-
-    return tagged.groupby("one").map_groups(
-        final, batch_format="pyarrow"
     )

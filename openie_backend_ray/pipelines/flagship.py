@@ -33,11 +33,8 @@ from typing import Any
 import ray.data
 
 from openie_backend_ray.stages.extract_pipeline import extract_and_combine
-from openie_backend_ray.stages.grouper import (
-    finalize_groups,
-    merge_blob_shuffle,
-)
-from openie_backend_ray.stages.linker import link_groups
+from openie_backend_ray.stages.grouper import merge_blob_shuffle
+from openie_backend_ray.stages.linker import link_or_finalize
 from openie_backend_ray.stages.postprocess import dedup_groups_batch
 
 
@@ -54,13 +51,12 @@ def run_flagship(
     Defaults mirror the reference fixture provenance (test-groups.txt is
     grouper+linker output, pre-filter). Without ``side_tables_ref`` the
     groups are left unlinked."""
-    blobs = merge_blob_shuffle(
-        extract_and_combine(ds, lexicon_ref=lexicon_ref, corpus=corpus)
+    groups = link_or_finalize(
+        merge_blob_shuffle(
+            extract_and_combine(ds, lexicon_ref=lexicon_ref, corpus=corpus)
+        ),
+        side_tables_ref,
     )
-    if side_tables_ref is not None:
-        groups = link_groups(blobs, side_tables_ref)
-    else:
-        groups = blobs.map_batches(finalize_groups, batch_format="pyarrow")
     if dedup:
         groups = groups.map_batches(dedup_groups_batch, batch_format="pyarrow")
     return groups

@@ -34,31 +34,19 @@ import pyarrow as pa
 
 def anti_join_new_docs(docs_ds, ingested_ids_ref):
     """Keep only documents whose doc_id is NOT in the broadcast lineage
-    set (J6). At 100 TB lineage shards by hash(doc_id) and each actor
-    holds one shard; semantics identical."""
-    class Probe:
-        def __init__(self, ingested_ids_ref=None, ids=None):
-            if ids is None and ingested_ids_ref is not None:
-                import ray
+    set (J6): one stateless ``is_in`` filter per batch, which resolves
+    the set ref inside the task, so no actor pool holds a CPU.  At
+    100 TB the lineage shards by hash(doc_id); semantics identical."""
+    def keep_new(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+        import ray
 
-                ids = ray.get(ingested_ids_ref)
-            self.ids = ids or set()
+        ids = pa.array(list(ray.get(ingested_ids_ref)), batch["doc_id"].type)
+        return batch.filter(
+            pc.invert(pc.is_in(batch["doc_id"], value_set=ids))
+        )
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mask = pa.array(
-                [d not in self.ids for d in batch["doc_id"].to_pylist()],
-                pa.bool_(),
-            )
-            return batch.filter(mask)
-
-    from openie_backend_ray.util import auto_pool
-
-    return docs_ds.map_batches(
-        Probe,
-        fn_constructor_kwargs={"ingested_ids_ref": ingested_ids_ref},
-        batch_format="pyarrow",
-        concurrency=auto_pool(0.25),
-    )
+    return docs_ds.map_batches(keep_new, batch_format="pyarrow")
 
 
 def relink_mask(sizes):

@@ -214,9 +214,9 @@ def fetch_groups(
 
     Each tier executes ONCE: a per-block local top-k-by-size partial
     also tags its block's hit count, so the driver re-reduces at most
-    ``blocks x remaining_groups`` rows (the ``top_parts`` pattern,
-    ``ops/relational.py``) instead of running the dataset twice
-    (count() + global sort).
+    ``blocks x remaining_groups`` rows (a local top-k per block, one
+    small global top-k on the driver) instead of running the dataset
+    twice (count() + global sort).
 
     Backend: a CLAUSED fetch is a point query — the Parquet filter
     pushdown returns at most a few budgeted row groups, so launching a

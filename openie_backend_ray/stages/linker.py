@@ -514,25 +514,29 @@ class LinkerActor:
         return pa.Table.from_pydict(out, schema=S.GROUPS)
 
 
-def link_groups(
-    blob_groups_ds,
-    tables_ref,
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 512,
-):
+def link_groups(blob_groups_ds, tables_ref):
     """blob group rows -> linked GROUPS rows (A5). The actor pool is the
     analogue of the reference's 4-replica scratch-disk linkers with
     random pick (``ScoobiEntityLinker.scala:127-143``) — Ray schedules
     the replicas and balances batches for free."""
     from openie_backend_ray.util import actor_cpus, auto_pool
 
-    if concurrency is None:
-        concurrency = auto_pool(0.25)
     return blob_groups_ds.map_batches(
         LinkerActor,
         fn_constructor_kwargs={"tables_ref": tables_ref},
         batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        batch_size=512,
+        concurrency=auto_pool(0.25),
         num_cpus=actor_cpus(),
     )
+
+
+def link_or_finalize(blob_groups_ds, tables_ref=None):
+    """The tail of every G1 job: blob group rows -> GROUPS rows, linked
+    when side tables are given, else left unlinked."""
+    from openie_backend_ray.stages.grouper import finalize_groups
+
+    if tables_ref is not None:
+        return link_groups(blob_groups_ds, tables_ref)
+    return blob_groups_ds.map_batches(finalize_groups,
+                                      batch_format="pyarrow")

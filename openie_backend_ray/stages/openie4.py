@@ -629,8 +629,7 @@ class OpenIE4Actor:
         return pa.Table.from_pydict(rows, schema=OIE4)
 
 
-def extract_openie4(chunked_ds, corpus: str = "corpus", concurrency=None,
-                    srl_backend=None):
+def extract_openie4(chunked_ds, corpus: str = "corpus", srl_backend=None):
     from openie_backend_ray.util import actor_cpus, auto_pool
 
     kwargs = {"corpus": corpus}
@@ -640,7 +639,7 @@ def extract_openie4(chunked_ds, corpus: str = "corpus", concurrency=None,
         OpenIE4Actor,
         fn_constructor_kwargs=kwargs,
         batch_format="pyarrow",
-        concurrency=concurrency or auto_pool(0.5),
+        concurrency=auto_pool(0.5),
         num_cpus=actor_cpus(),
     )
 
@@ -742,30 +741,22 @@ def openie4_keyed_batch(batch: pa.Table) -> pa.Table:
 
 
 def openie4_triples(chunked_ds, corpus: str = "corpus",
-                    side_tables_ref=None, concurrency=None,
-                    linker_concurrency=None, srl_backend="chunk"):
+                    side_tables_ref=None, srl_backend="chunk"):
     """Full OpenIE4 corpus path: chunked sentences -> Relnoun + SRL ->
     T split -> key assignment -> G1 grouper -> (optional) linker —
     the OpenIE4 twin of the ReVerb flagship pipeline.  ``srl_backend``
     defaults to the chunk-based stand-in (the reference always runs
     SRL); pass None to disable or an object for the real model."""
-    from openie_backend_ray.stages.grouper import (
-        finalize_groups,
-        group_extractions,
-    )
+    from openie_backend_ray.stages.grouper import group_extractions
+    from openie_backend_ray.stages.linker import link_or_finalize
 
     if srl_backend == "chunk":
         srl_backend = ChunkSrl()
-    oie4 = extract_openie4(chunked_ds, corpus, concurrency=concurrency,
-                           srl_backend=srl_backend)
+    oie4 = extract_openie4(chunked_ds, corpus, srl_backend=srl_backend)
     t_rows = oie4.filter(expr="kind == 'T'")
     keyed = t_rows.map_batches(openie4_keyed_batch, batch_format="pyarrow")
-    blobs = group_extractions(keyed, finalize=False)
-    if side_tables_ref is not None:
-        from openie_backend_ray.stages.linker import link_groups
-
-        return link_groups(blobs, side_tables_ref, linker_concurrency)
-    return blobs.map_batches(finalize_groups, batch_format="pyarrow")
+    return link_or_finalize(group_extractions(keyed, finalize=False),
+                            side_tables_ref)
 
 
 class OpenIE4ExtractCombineActor:
@@ -816,9 +807,7 @@ class OpenIE4ExtractCombineActor:
 
 def openie4_triples_from_documents(docs_ds, lexicon_ref=None,
                                    corpus: str = "corpus",
-                                   side_tables_ref=None,
-                                   concurrency=None,
-                                   linker_concurrency=None):
+                                   side_tables_ref=None):
     """Interleaved documents -> OpenIE4 triple groups, fused front-end
     + ONE G1 shuffle (+ optional linker) — the corpus entry point the
     bench and queries() use; ``openie4_triples`` remains the
@@ -826,10 +815,8 @@ def openie4_triples_from_documents(docs_ds, lexicon_ref=None,
     from openie_backend_ray.stages.extract_pipeline import (
         unique_sentences,
     )
-    from openie_backend_ray.stages.grouper import (
-        finalize_groups,
-        merge_blob_shuffle,
-    )
+    from openie_backend_ray.stages.grouper import merge_blob_shuffle
+    from openie_backend_ray.stages.linker import link_or_finalize
     from openie_backend_ray.util import actor_cpus, auto_pool
 
     partial = unique_sentences(docs_ds).map_batches(
@@ -838,12 +825,7 @@ def openie4_triples_from_documents(docs_ds, lexicon_ref=None,
                                "corpus": corpus},
         batch_format="pyarrow",
         batch_size=512,  # spread unique texts across the pool
-        concurrency=concurrency or auto_pool(0.7),
+        concurrency=auto_pool(0.7),
         num_cpus=actor_cpus(),
     )
-    blobs = merge_blob_shuffle(partial)
-    if side_tables_ref is not None:
-        from openie_backend_ray.stages.linker import link_groups
-
-        return link_groups(blobs, side_tables_ref, linker_concurrency)
-    return blobs.map_batches(finalize_groups, batch_format="pyarrow")
+    return link_or_finalize(merge_blob_shuffle(partial), side_tables_ref)

@@ -15,10 +15,7 @@ import duckdb
 import pandas as pd
 
 
-TABLES = (
-    "region nation customer supplier part orders lineitem events "
-    "documents embeddings"
-).split()
+TABLES = ("documents", "embeddings")
 
 
 def to_pandas(res):
@@ -29,6 +26,20 @@ def to_pandas(res):
     if isinstance(res, pa.Table):
         return res.to_pandas()
     return res.to_pandas()  # ray Dataset
+
+
+def missing_reference(exc: BaseException) -> str | None:
+    """The reference fixture path when ``exc`` is its absence, else
+    None: the entries built on the reference's golden TSVs are skipped
+    where it is not mounted, and every other error still fails."""
+    from openie_backend_ray.fixtures.reverb_tsv import (
+        GROUPS_FIXTURE, REVERB_FIXTURE,
+    )
+
+    if (isinstance(exc, FileNotFoundError)
+            and exc.filename in (REVERB_FIXTURE, GROUPS_FIXTURE)):
+        return exc.filename
+    return None
 
 
 def value_hash(df: pd.DataFrame) -> str:
@@ -74,6 +85,9 @@ def main() -> int:
         try:
             got = to_pandas(qs[name](sf_dir))
         except Exception as exc:  # noqa: BLE001
+            if missing := missing_reference(exc):
+                print(f"{name}: SKIP reference missing: {missing}")
+                continue
             print(f"{name}: RAY ERROR {type(exc).__name__}: {exc}")
             failures += 1
             continue
@@ -84,6 +98,9 @@ def main() -> int:
         try:
             want = con.sql(sqls[name]).df()
         except Exception as exc:  # noqa: BLE001
+            if missing := missing_reference(exc):
+                print(f"{name}: SKIP reference missing: {missing}")
+                continue
             print(f"{name}: SQL ERROR {type(exc).__name__}: {exc}")
             failures += 1
             continue

@@ -324,7 +324,7 @@ def test_real_decoder_is_stubbed():
 
 @pytest.mark.parametrize(
     "name",
-    ["dedup_exact", "ann_topk", "pricing_summary", "events_daily",
+    ["dedup_exact", "ann_topk", "hash_sample", "simhash",
      "fingerprint", "dedup_minhash_pairs", "winnow_fingerprints",
      "winnow_pairs", "delta_dedup", "simhash_pairs"],
 )
@@ -338,8 +338,7 @@ def test_oracle_parity_spot(ray_session, name):
 
     got = E.queries()[name](SF).to_pandas()
     con = duckdb.connect()
-    for t in ("documents", "embeddings", "lineitem", "events", "orders",
-              "customer"):
+    for t in ("documents", "embeddings"):
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
     want = con.sql(E.oracle_sql()[name]).df()
     assert len(got) == len(want)
@@ -501,87 +500,6 @@ def test_media_frames_deterministic(ray_session):
     assert all(r["media_ref"].startswith("media://video/") for r in out)
 
 
-def test_events_sessions_gap_boundaries(ray_session):
-    """Gap-based sessionization: a gap strictly greater than the window
-    starts a new session; exactly-at-gap events stay in the session."""
-    import datetime as dt
-
-    import pyarrow as pa
-    import ray.data as rd
-
-    from openie_backend_ray.ops.relational import events_sessions
-
-    t0 = dt.datetime(2024, 1, 1, 12, 0, 0)
-    m = dt.timedelta(minutes=1)
-    rows = {
-        "user_id": pa.array([1, 1, 1, 1, 2], pa.int64()),
-        # u1: t0, +30min (exactly the gap: same session), +61min (new),
-        # +62min (same); u2: single event
-        "ts": pa.array(
-            [t0, t0 + 30 * m, t0 + 61 * m, t0 + 62 * m, t0],
-            pa.timestamp("us"),
-        ),
-    }
-    out = events_sessions(
-        rd.from_arrow(pa.table(rows)), gap_minutes=30
-    ).to_pandas().sort_values(["user_id", "session_id"])
-    u1 = out[out.user_id == 1]
-    assert list(u1["session_id"]) == [1, 2]
-    assert list(u1["n_events"]) == [2, 2]
-    assert u1.iloc[0]["session_end"].to_pydatetime() == t0 + 30 * m
-    assert u1.iloc[1]["session_start"].to_pydatetime() == t0 + 61 * m
-    u2 = out[out.user_id == 2]
-    assert list(u2["n_events"]) == [1]
-
-
-def test_asof_latest_order_semantics(ray_session):
-    """As-of join: latest order at-or-before the event's date; same-day
-    ties resolve to the max orderkey; no prior order -> nulls."""
-    import datetime as dt
-
-    import pyarrow as pa
-    import ray.data as rd
-
-    from openie_backend_ray.ops.relational import asof_latest_order
-
-    events = pa.table(
-        {
-            "event_id": pa.array([1, 2, 3], pa.int64()),
-            "user_id": pa.array([7, 7, 8], pa.int64()),
-            "ts": pa.array(
-                [dt.datetime(2024, 3, 10, 5), dt.datetime(2024, 3, 1),
-                 dt.datetime(2024, 3, 10)],
-                pa.timestamp("us"),
-            ),
-        }
-    )
-    orders = pa.table(
-        {
-            "o_orderkey": pa.array([100, 101, 102], pa.int64()),
-            "o_custkey": pa.array([7, 7, 9], pa.int64()),
-            # two same-day orders for user 7 -> tie resolves to key 101
-            "o_orderdate": pa.array(
-                [dt.date(2024, 3, 5), dt.date(2024, 3, 5),
-                 dt.date(2024, 3, 1)],
-                pa.date32(),
-            ),
-        }
-    )
-    out = asof_latest_order(
-        rd.from_arrow(events), rd.from_arrow(orders)
-    ).to_pandas().set_index("event_id")
-    assert out.loc[1]["o_orderkey"] == 101  # same-day tie -> max key
-    assert out.loc[1]["o_orderdate"] == "2024-03-05"
-    assert pd_isna(out.loc[2]["o_orderkey"])  # event before any order
-    assert pd_isna(out.loc[3]["o_orderkey"])  # user with no orders
-
-
-def pd_isna(x):
-    import pandas as pd
-
-    return pd.isna(x)
-
-
 # ---------------------------------------------------------------------------
 # connected components (fuzzy-dedup clustering)
 # ---------------------------------------------------------------------------
@@ -688,22 +606,26 @@ def test_kg_entries_inside_driver_window():
     ]
     for name in kg:
         assert order.index(name) < 50, f"{name} fell out of the window"
-    # the tail may only hold stable entries: driver-green in r02 AND
-    # r03 AND r04 and untouched since (round-5 rotation: the relational
-    # demo family + kmv moved out so the textstats/media entries could
-    # rotate back under driver check), plus the round-4-retired
-    # top_tokens/simhash kept registered for LOCAL oracle sweeps only
-    allowed_tail = {
-        "kmv_distinct_tokens", "pricing_summary", "segment_revenue",
-        "top_parts", "events_daily", "events_sessions", "asof_orders",
-        "orders_in_range", "top_tokens", "simhash",
-    }
+    # the tail holds only simhash, kept for its exact oracle check of
+    # dedup.simhash_batch values
+    allowed_tail = {"simhash"}
     assert set(order[50:]) <= allowed_tail
     # the rotated-back entries are actually inside the window
     for name in ("token_stats", "quality_score", "lang_id",
                  "fingerprint", "vocab_stats", "repetition_stats",
                  "bpe_token_stats", "media_spans"):
         assert order.index(name) < 50, f"{name} missed the rotation"
+
+
+def test_every_oracle_has_a_query():
+    """An oracle left behind by a deleted ``queries()`` entry checks
+    nothing.  Keys only: no KG view is built."""
+    import sys
+
+    sys.path.insert(0, REPO)
+    import __ray_entry__ as E
+
+    assert set(E.oracle_sql()) <= set(E.queries())
 
 
 def test_perm_mins_matches_scalar_reference():

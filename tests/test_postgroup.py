@@ -218,7 +218,8 @@ def test_typer_predicts_shared_types(ray_session):
     assert list(c0["arg1_types"]) == ["/location/location"]
 
 
-def test_incremental_delta(ray_session):
+def test_incremental_delta(ray_session, tmp_path):
+    import pyarrow.parquet as pq
     import ray
     import ray.data as rd
 
@@ -246,6 +247,18 @@ def test_incremental_delta(ray_session):
     ingested = ray.put({"d1", "d2"})
     delta = anti_join_new_docs(rd.from_arrow(docs), ingested).to_pandas()
     assert list(delta.doc_id) == ["d3"]
+    # an empty lineage keeps every row
+    fresh = anti_join_new_docs(rd.from_arrow(docs), ray.put(set()))
+    assert list(fresh.to_pandas().doc_id) == ["d1", "d2", "d3"]
+    # a lazy multi-file read keeps exactly the new ids
+    ids = [f"d{i}" for i in range(40)]
+    for j in range(4):
+        pq.write_table(pa.table({"doc_id": ids[10 * j: 10 * j + 10]}),
+                       tmp_path / f"part{j}.parquet")
+    seen = {"d1", "d2", "d17", "d39"}
+    kept = anti_join_new_docs(rd.read_parquet(str(tmp_path)),
+                              ray.put(seen)).to_pandas()
+    assert sorted(kept.doc_id) == sorted(set(ids) - seen)
 
     i1 = _mk_inst(["Obama", "visited", "Paris", "today", "."],
                   ["NNP", "VBD", "NNP", "NN", "."],
