@@ -21,15 +21,17 @@ shuffle-merge over the partitioned triples table:
    PROVENANCE carried through the merge shuffle itself (each input
    group is flagged ``from_delta`` and the reducer ORs the flags), so
    no delta-key set is ever collected on the driver; the relink tag
-   is then one vectorized filter.  The relink keys are returned (opt
-   out with ``return_relink_keys=False``) so the caller can record
-   them in the shard's lineage manifest — that list is the only
-   driver-side collection and is bounded by the ingest batch.
+   is then one vectorized filter.  The relink keys are returned so
+   the caller can record them in the shard's lineage manifest — that
+   list is the only driver-side collection and is bounded by the
+   ingest batch.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
+
+from openie_backend_ray.functions.normalize import key_string
 
 
 def anti_join_new_docs(docs_ds, ingested_ids_ref):
@@ -63,10 +65,6 @@ def needs_relink(size: int) -> bool:
     return bool(relink_mask([size])[0])
 
 
-def _group_key(a1: str, rl: str, a2: str) -> str:
-    return f"{a1}__{rl}__{a2}"
-
-
 def _groups_to_blobs(batch: pa.Table) -> pa.Table:
     """GROUPS rows -> the grouper's blob representation so they can
     re-enter the linker actor pool."""
@@ -81,7 +79,7 @@ def _groups_to_blobs(batch: pa.Table) -> pa.Table:
     sizes = batch["size"].to_pylist()
     return pa.Table.from_pydict(
         {
-            "key": [_group_key(a, r, b) for a, r, b in zip(a1, rl, a2)],
+            "key": [key_string(k) for k in zip(a1, rl, a2)],
             "arg1_norm": a1,
             "rel_norm": rl,
             "arg2_norm": a2,
@@ -164,17 +162,7 @@ def drop_near_dup_deltas(delta_docs_ds, store_fingerprints_ds,
             expr=f"n_shared >= {int(min_shared)}"
         ).select_columns(["doc_id"]).take_all()
     }
-    ids_ref = ray.put(ids)
-
-    def drop(batch: pa.Table) -> pa.Table:
-        dup = ray.get(ids_ref)
-        mask = pa.array(
-            [d not in dup for d in batch["doc_id"].to_pylist()],
-            pa.bool_(),
-        )
-        return batch.filter(mask)
-
-    return delta_docs_ds.map_batches(drop, batch_format="pyarrow")
+    return anti_join_new_docs(delta_docs_ds, ray.put(ids))
 
 
 def incremental_update(
@@ -184,7 +172,6 @@ def incremental_update(
     lexicon_ref=None,
     side_tables_ref=None,
     corpus: str = "news",
-    return_relink_keys: bool = True,
     store_fingerprints_ds=None,
 ):
     """existing triples + incoming docs -> merged triples (G11).
@@ -193,8 +180,7 @@ def incremental_update(
     persists the merged table (checkpoint.run_shard), appends the delta
     doc_ids to the lineage table, and records ``relink_keys`` in the
     shard manifest.  ``relink_keys`` is the only driver-side collection
-    (bounded by the ingest batch); pass ``return_relink_keys=False`` to
-    skip it entirely on huge backfill deltas.
+    (bounded by the ingest batch).
 
     ``store_fingerprints_ds``: the store's precomputed winnowed
     fingerprints (``materialize_store_fingerprints`` output, read back
@@ -246,14 +232,12 @@ def incremental_update(
     tagged = merged.map_batches(tag, batch_format="pyarrow")
     keep = tagged.filter(expr="relink == False").drop_columns(["relink"])
     relink = tagged.filter(expr="relink == True").drop_columns(["relink"])
-    relink_keys = []
-    if return_relink_keys:
-        relink_keys = sorted(
-            _group_key(r["arg1_norm"], r["rel_norm"], r["arg2_norm"])
-            for r in relink.select_columns(
-                ["arg1_norm", "rel_norm", "arg2_norm"]
-            ).take_all()
-        )
+    relink_keys = sorted(
+        key_string((r["arg1_norm"], r["rel_norm"], r["arg2_norm"]))
+        for r in relink.select_columns(
+            ["arg1_norm", "rel_norm", "arg2_norm"]
+        ).take_all()
+    )
     from openie_backend_ray.stages.linker import link_groups
 
     relinked = link_groups(

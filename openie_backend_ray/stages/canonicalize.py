@@ -23,7 +23,7 @@ import hashlib
 import pyarrow as pa
 
 from openie_backend_ray import schema as S
-from openie_backend_ray.functions.normalize import frontend_key
+from openie_backend_ray.functions.normalize import frontend_key, key_string
 
 _KEYED = pa.schema(list(S.GROUPS) + [("ckey", pa.string())])
 
@@ -99,7 +99,7 @@ def add_entity_key(batch: pa.Table) -> pa.Table:
         fk = _head_frontend_key(insts[i])
         k1 = e1[i]["fbid"] if e1[i] is not None else fk[0]
         k2 = e2[i]["fbid"] if e2[i] is not None else fk[2]
-        keys.append(f"{k1}__{fk[1]}__{k2}")
+        keys.append(key_string((k1, fk[1], k2)))
     return batch.append_column("ckey", pa.array(keys, pa.string()))
 
 
@@ -108,7 +108,7 @@ def add_frontend_key(batch: pa.Table) -> pa.Table:
     if batch.num_rows == 0:
         return _KEYED.empty_table()
     insts = batch["instances"].to_pylist()
-    keys = ["__".join(_head_frontend_key(x)) for x in insts]
+    keys = [key_string(_head_frontend_key(x)) for x in insts]
     return batch.append_column("ckey", pa.array(keys, pa.string()))
 
 

@@ -1,6 +1,11 @@
 """Fused map front-end: documents or ``[sentence, url]`` lines ->
 combined partial groups, through one unique-sentence exchange and ONE
-actor-pool stage (chunk -> extract -> key -> combine).
+actor-pool stage (layers -> extract -> key -> combine).
+
+Both extractors use it. ``ExtractCombineActor`` runs ReVerb;
+``openie4.OpenIE4ExtractCombineActor`` subclasses it and overrides only
+``_extract_text`` (Relnoun + SRL triples), so both share the layer
+lookup, the template+fill loop and the combiner (``grouper.combine_rows``).
 
 Why fused: as four separate Dataset operators, the streaming executor's
 resource allocator split the cluster across every operator and the
@@ -55,14 +60,19 @@ class ExtractCombineActor(ChunkerActor):
         super().__init__(lexicon_ref=lexicon_ref, lexicon=lexicon)
         self.corpus = corpus
 
-    def _extract_text(self, s: str) -> list:
-        """Layers + ReVerb + key + confidence for ONE unique sentence."""
+    def _text_layers(self, s: str):
+        """Lexicon hit, else the model layers. No memo: the exchange
+        already made each text unique."""
         hit = self._lex.get(s)
         if hit is None:
             hit = model_layers(
                 s, tagger=self._tagger, chunk_tagger=self._chunker
             )
-        toks, tags, chks = hit
+        return hit
+
+    def _extract_text(self, s: str) -> list:
+        """Layers + ReVerb + key + confidence for ONE unique sentence."""
+        toks, tags, chks = self._text_layers(s)
         found = []
         if len(toks) == len(tags) == len(chks):
             for (a1, r, a2) in extract(toks, tags, chks):

@@ -34,12 +34,7 @@ def extract_batch(batch: pa.Table, corpus: str = "corpus") -> pa.Table:
         else [""] * len(doc_ids)
     )
 
-    out: dict[str, list] = {
-        "doc_id": [], "span_idx": [], "tokens": [], "postags": [],
-        "chunks": [], "arg1": [], "rel": [], "arg2": [], "source_url": [],
-        "corpus": [], "confidence": [], "arg1_norm": [], "rel_norm": [],
-        "arg2_norm": [], "key": [],
-    }
+    out: dict[str, list] = {c: [] for c in S.KEYED_EXTRACTIONS.names}
     for i in range(len(doc_ids)):
         toks, tags, chks = toks_col[i], tags_col[i], chks_col[i]
         if not (len(toks) == len(tags) == len(chks)):
@@ -64,86 +59,4 @@ def extract_batch(batch: pa.Table, corpus: str = "corpus") -> pa.Table:
             out["rel_norm"].append(k[1])
             out["arg2_norm"].append(k[2])
             out["key"].append(key_string(k))
-    return pa.table(
-        {
-            "doc_id": pa.array(out["doc_id"], pa.string()),
-            "span_idx": pa.array(out["span_idx"], pa.int32()),
-            "tokens": pa.array(out["tokens"], pa.list_(pa.string())),
-            "postags": pa.array(out["postags"], pa.list_(pa.string())),
-            "chunks": pa.array(out["chunks"], pa.list_(pa.string())),
-            "arg1": pa.array(out["arg1"], S.INTERVAL),
-            "rel": pa.array(out["rel"], S.INTERVAL),
-            "arg2": pa.array(out["arg2"], S.INTERVAL),
-            "source_url": pa.array(out["source_url"], pa.string()),
-            "corpus": pa.array(out["corpus"], pa.string()),
-            "confidence": pa.array(out["confidence"], pa.float64()),
-            "arg1_norm": pa.array(out["arg1_norm"], pa.string()),
-            "rel_norm": pa.array(out["rel_norm"], pa.string()),
-            "arg2_norm": pa.array(out["arg2_norm"], pa.string()),
-            "key": pa.array(out["key"], pa.string()),
-        }
-    )
-
-
-def extract_rows(batch: pa.Table, corpus: str = "corpus",
-                 memo: dict | None = None, memo_cap: int = 200_000):
-    """chunked sentences -> (key, norms, instance-dict) Python rows.
-
-    Same semantics as ``extract_batch`` but WITHOUT the Arrow
-    round-trip: when extraction and the combiner run fused inside one
-    actor call, building an Arrow table of nested token lists only to
-    ``to_pylist`` it straight back costs more than the extraction
-    itself (profiled ~3.5s of a 6s fixture-corpus batch)."""
-    doc_ids = batch["doc_id"].to_pylist()
-    toks_col = batch["tokens"].to_pylist()
-    tags_col = batch["postags"].to_pylist()
-    chks_col = batch["chunks"].to_pylist()
-    src_col = (
-        batch["source_url"].to_pylist()
-        if "source_url" in batch.column_names
-        else [""] * len(doc_ids)
-    )
-    rows = []
-    for i in range(len(doc_ids)):
-        toks, tags, chks = toks_col[i], tags_col[i], chks_col[i]
-        if not (len(toks) == len(tags) == len(chks)):
-            continue
-        # sentence-level memo: web corpora are duplication-heavy (the
-        # reason the dedup ops exist), so repeated sentences skip the
-        # extract + key + confidence work entirely.  The cached value
-        # excludes the per-occurrence field (source_url); pure-function
-        # output otherwise.  The key covers ALL three layers, not just
-        # tokens — extraction depends on postags/chunks too, and a
-        # caller feeding identical tokens under different tag layers
-        # must not get a stale hit.  Epoch eviction: clear when full —
-        # O(1) amortized, bounds actor heap.
-        found = None
-        skey = None
-        if memo is not None:
-            skey = "\x00".join(
-                (" ".join(toks), " ".join(tags), " ".join(chks))
-            )
-            found = memo.get(skey)
-        if found is None:
-            found = []
-            for (a1, r, a2) in extract(toks, tags, chks):
-                k = index_key(toks, tags, a1, r, a2)
-                if not (k[0] and k[1] and k[2]):
-                    continue
-                conf = confidence.score(toks, tags, a1, r, a2)
-                found.append((key_string(k), k, a1, r, a2, conf))
-            if memo is not None:
-                if len(memo) >= memo_cap:
-                    memo.clear()
-                memo[skey] = found
-        for (kstr, k, a1, r, a2, conf) in found:
-            inst = {
-                "tokens": toks, "postags": tags, "chunks": chks,
-                "arg1": {"start": a1[0], "end": a1[1]},
-                "rel": {"start": r[0], "end": r[1]},
-                "arg2": {"start": a2[0], "end": a2[1]},
-                "source_url": src_col[i], "corpus": corpus,
-                "confidence": conf,
-            }
-            rows.append((kstr, k, inst))
-    return rows
+    return pa.Table.from_pydict(out, schema=S.KEYED_EXTRACTIONS)

@@ -4,26 +4,31 @@ The reference is a Hadoop groupByKey on the normalized-triple key with
 reducer-side caps (truncate each group to 40k instances, drop >500k;
 ``hadoop/.../ScoobiReVerbGrouper.scala:63-111``). Here it is:
 
-1. a map-side **combiner** (``combine_batch``): fold each upstream batch
+1. a map-side **combiner** (``combine_rows``): fold each upstream batch
    into one partial-group row per key before the shuffle — the decisive
    scale lever; a pathological head key ("obama"/"be") arrives at its
    reducer pre-capped per batch, subsuming explicit key salting (each
    upstream batch acts as a salt bucket). The reference's
    arbitrary-order ``take(40000)`` cap makes this semantically
-   equivalent to its combinerless groupByKey. The combiner runs
-   PER BLOCK (batch_size=None): a fixed large batch_size (32k) made
-   Ray bundle blocks until the whole stage ran as 4 tasks — map
-   parallelism died; a small one (4k) left 3x more partial rows in
-   the shuffle and tripled its wall time. Per-block combining keeps
-   the task count equal to the block count while combining as widely
-   as the block allows.
-2. ONE ``groupby("key").map_groups`` shuffle over the partials.
+   equivalent to its combinerless groupByKey. The fused extract actors
+   (ReVerb and OpenIE4) call it on their Python rows; ``combine_batch``
+   feeds it a keyed Arrow table. The Arrow combiner runs PER BLOCK
+   (batch_size=None): a fixed large batch_size (32k) made Ray bundle
+   blocks until the whole stage ran as 4 tasks — map parallelism
+   died; a small one (4k) left 3x more partial rows in the shuffle and
+   tripled its wall time. Per-block combining keeps the task count
+   equal to the block count while combining as widely as the block
+   allows.
+2. ONE shuffle over the partials, hash-partitioned on ``key``, whose
+   reducer (``merge_blob_groups``) merges a whole partition of keys
+   per call.
 
 Through the shuffle, nested instance lists travel as pickled binary
 blobs: the per-group merge is then list-concat + cap (no per-group
 Arrow nested-struct casting, which profiling showed dominates wall
-time); a final per-batch pass converts blobs into the Arrow
-``GROUPS`` schema once.
+time). One conversion, ``groups_table``, turns unpickled blobs into
+the Arrow ``GROUPS`` schema once per batch, for the unlinked tail
+(``finalize_groups``) and the linker alike.
 """
 
 from __future__ import annotations
@@ -133,7 +138,9 @@ def _dedup_cap(insts: list[dict]) -> list[dict]:
 
 
 def combine_batch(batch: pa.Table) -> pa.Table:
-    """Map-side combiner: one partial-group row per key per batch."""
+    """Map-side combiner over a keyed extraction table: its Arrow
+    columns become ``combine_rows`` rows, weighted by the optional
+    ``weight`` column (else 1)."""
     if batch.num_rows == 0:
         return BLOB_GROUPS.empty_table()
     import pyarrow.compute as pc
@@ -147,46 +154,59 @@ def combine_batch(batch: pa.Table) -> pa.Table:
             return pc.binary_join(batch[c], " ").to_pylist()
         return batch[c].to_pylist()
 
-    all_insts = [
-        dict(zip(_INSTANCE_COLS, vals))
-        for vals in zip(*(col(c) for c in _INSTANCE_COLS))
-    ]
-    keys = batch["key"].to_pylist()
-    a1n = batch["arg1_norm"].to_pylist()
-    rln = batch["rel_norm"].to_pylist()
-    a2n = batch["arg2_norm"].to_pylist()
-    # optional occurrence weights (unique-sentence front-end): raw_count
-    # sums them so the >500k drop sees per-occurrence counts
+    insts = (dict(zip(_INSTANCE_COLS, vals))
+             for vals in zip(*(col(c) for c in _INSTANCE_COLS)))
+    norms = zip(*(batch[c].to_pylist()
+                  for c in ("arg1_norm", "rel_norm", "arg2_norm")))
     wts = (batch["weight"].to_pylist()
-           if "weight" in batch.column_names else None)
+           if "weight" in batch.column_names else [1] * batch.num_rows)
+    return combine_rows(list(zip(batch["key"].to_pylist(), norms, insts,
+                                 wts)))
+
+
+def combine_rows(rows) -> pa.Table:
+    """Map-side combiner: one partial-group row per key over Python
+    ``(key, (a1n, rl, a2n), packed_inst[, weight])`` rows, built by the
+    fused extract actors directly and by ``combine_batch`` from Arrow.
+    ``weight`` (default 1) is the OCCURRENCE COUNT of the instance's
+    sentence: the unique-sentence front-end extracts each distinct
+    sentence once and carries how many times it occurred, so
+    ``raw_count`` (the reference's pre-dedup instance count, which
+    drives the >500k drop) sums weights and stays exactly equal to the
+    per-occurrence pipeline's count."""
     by_key: dict[str, list[int]] = {}
-    for i, k in enumerate(keys):
-        by_key.setdefault(k, []).append(i)
-    out = {k2: [] for k2 in
-           ("key", "arg1_norm", "rel_norm", "arg2_norm",
-            "instances_blob", "size", "raw_count")}
+    for i, row in enumerate(rows):
+        by_key.setdefault(row[0], []).append(i)
+    out = {c: [] for c in BLOB_GROUPS.names}
     for k, idxs in by_key.items():
         # no arrival-order pre-truncation: _dedup_cap conf-sorts THEN
         # caps, so a top-confidence instance past position 40k in a
         # mega-key batch still wins — the semantics the hash oracle
         # (fixtures/oracles.py g1: ordered rn <= 40000 AFTER the
         # dedup window) verifies
-        insts = _dedup_cap([all_insts[i] for i in idxs])
-        i0 = idxs[0]
+        insts = _dedup_cap([rows[i][2] for i in idxs])
+        norms = rows[idxs[0]][1]
         out["key"].append(k)
-        out["arg1_norm"].append(a1n[i0])
-        out["rel_norm"].append(rln[i0])
-        out["arg2_norm"].append(a2n[i0])
+        out["arg1_norm"].append(norms[0])
+        out["rel_norm"].append(norms[1])
+        out["arg2_norm"].append(norms[2])
         out["instances_blob"].append(pickle.dumps(insts, protocol=4))
         out["size"].append(len(insts))
-        out["raw_count"].append(
-            len(idxs) if wts is None else sum(wts[i] for i in idxs)
-        )
+        out["raw_count"].append(sum(
+            (rows[i][3] if len(rows[i]) > 3 else 1) for i in idxs
+        ))
     return pa.Table.from_pydict(out, schema=BLOB_GROUPS)
 
 
-def merge_blob_groups(t: pa.Table, drop: bool = True) -> pa.Table:
-    """Reduce side: concat one key's partial groups (cheap: blobs only).
+def merge_blob_groups(g: pa.Table, group_cols: tuple[str, ...] = ("key",),
+                      drop: bool = True) -> pa.Table:
+    """Reduce side: merge partial rows into one row per distinct
+    ``group_cols`` value, a whole hash partition of keys in one Python
+    call (one call per partition, not one Ray group slice and one 1-row
+    table per key: 13k keys cost a measured 13 s reducer wall at sf0.1
+    as per-key ``map_groups``). A key's single partial row passes
+    through; several are concatenated (cheap: blobs only) and
+    deduplicated + capped.
 
     ``drop=True`` (the FINAL merge) applies the reference's raw-size
     drop: a key whose summed raw instance count exceeds 500k is
@@ -194,49 +214,13 @@ def merge_blob_groups(t: pa.Table, drop: bool = True) -> pa.Table:
     Intermediate merges (the salted phase 1) pass ``drop=False`` so the
     raw count keeps accumulating to the final reducer — dropping a
     slice early would hide its count from the total."""
-    raw = sum(t["raw_count"].to_pylist())
-    if drop and raw > MAX_RAW_GROUP:
-        return BLOB_GROUPS.empty_table()
-    if t.num_rows == 1:
-        return t
-    insts: list[dict] = []
-    for blob in t["instances_blob"].to_pylist():
-        insts.extend(pickle.loads(blob))
-    insts = _dedup_cap(insts)
-    return pa.Table.from_pydict(
-        {
-            "key": [t["key"][0].as_py()],
-            "arg1_norm": [t["arg1_norm"][0].as_py()],
-            "rel_norm": [t["rel_norm"][0].as_py()],
-            "arg2_norm": [t["arg2_norm"][0].as_py()],
-            "instances_blob": [pickle.dumps(insts, protocol=4)],
-            "size": [len(insts)],
-            "raw_count": [raw],
-        },
-        schema=BLOB_GROUPS,
-    )
-
-
-def _merge_blob_part(g: pa.Table, group_cols: tuple[str, ...] = ("key",),
-                     drop: bool = True) -> pa.Table:
-    """ONE HASH PARTITION of keys at once: every key's partial rows
-    merge inside a single Python call (same semantics as
-    ``merge_blob_groups`` per key — raw-sum drop, single-row
-    passthrough, dedup+cap merge).  Replaces the per-key ``map_groups``
-    reducer, which cost one Ray group slice + one 1-row Arrow table per
-    key (13k keys = the measured 13 s reducer wall at sf0.1; the
-    partition form is one call per partition)."""
-    cols = {c: g[c].to_pylist()
-            for c in ("key", "arg1_norm", "rel_norm", "arg2_norm",
-                      "instances_blob", "size", "raw_count")}
+    cols = {c: g[c].to_pylist() for c in BLOB_GROUPS.names}
     extra = [g[c].to_pylist() for c in group_cols if c != "key"]
     by: dict = {}
     gk = (list(zip(cols["key"], *extra)) if extra else cols["key"])
     for i, kt in enumerate(gk):
         by.setdefault(kt, []).append(i)
-    out = {k2: [] for k2 in
-           ("key", "arg1_norm", "rel_norm", "arg2_norm",
-            "instances_blob", "size", "raw_count")}
+    out = {c: [] for c in BLOB_GROUPS.names}
     for idxs in by.values():
         raw = sum(cols["raw_count"][i] for i in idxs)
         if drop and raw > MAX_RAW_GROUP:
@@ -260,42 +244,40 @@ def _merge_blob_part(g: pa.Table, group_cols: tuple[str, ...] = ("key",),
     return pa.Table.from_pydict(out, schema=BLOB_GROUPS)
 
 
-def merge_blob_shuffle(partial, drop: bool = True):
+def merge_blob_shuffle(partial):
     """The G1 reduce as a partitioned shuffle: hash-partition the
     partial rows on ``key`` (the shared ``with_part_on`` bucketing),
     group by the partition id, and merge each partition's keys in one
-    vectorized call.  Key skew stays bounded because the rows entering
-    the shuffle are already per-block combiner partials (a hot key
-    contributes at most one capped row per upstream block)."""
+    ``merge_blob_groups`` call.  Key skew stays bounded because the
+    rows entering the shuffle are already per-block combiner partials
+    (a hot key contributes at most one capped row per upstream
+    block)."""
     from openie_backend_ray.ops.partition import with_part_on
 
     return (
         partial.map_batches(with_part_on("key"), batch_format="pyarrow")
         .groupby("part")
-        .map_groups(lambda g: _merge_blob_part(g, drop=drop),
-                    batch_format="pyarrow")
+        .map_groups(merge_blob_groups, batch_format="pyarrow")
     )
 
 
-def finalize_groups(batch: pa.Table) -> pa.Table:
-    """Blob rows -> Arrow GROUPS schema (one nested conversion per batch)."""
-    n = batch.num_rows
-    if n == 0:
-        return S.GROUPS.empty_table()
-    inst_lists = [
-        [_inst_unpack(i) for i in pickle.loads(b)]
-        for b in batch["instances_blob"].to_pylist()
-    ]
+def groups_table(batch: pa.Table, inst_lists: list[list[dict]],
+                 arg1_entity: list, arg2_entity: list,
+                 arg1_types: list, arg2_types: list) -> pa.Table:
+    """Blob group rows -> Arrow GROUPS rows (one nested conversion per
+    batch), shared by ``finalize_groups`` and the linker.
+    ``inst_lists`` holds each row's unpickled blob (packed instances);
+    the entity/type columns are None/[] for unlinked rows."""
     return pa.Table.from_pydict(
         {
             "arg1_norm": batch["arg1_norm"].to_pylist(),
             "rel_norm": batch["rel_norm"].to_pylist(),
             "arg2_norm": batch["arg2_norm"].to_pylist(),
-            "arg1_entity": [None] * n,
-            "arg2_entity": [None] * n,
-            "arg1_types": [[] for _ in range(n)],
-            "arg2_types": [[] for _ in range(n)],
-            "instances": inst_lists,
+            "arg1_entity": arg1_entity,
+            "arg2_entity": arg2_entity,
+            "arg1_types": arg1_types,
+            "arg2_types": arg2_types,
+            "instances": [[_inst_unpack(i) for i in x] for x in inst_lists],
             "size": [len(x) for x in inst_lists],
             "corpora": [sorted({i["corpus"] for i in x}) for x in inst_lists],
         },
@@ -303,55 +285,27 @@ def finalize_groups(batch: pa.Table) -> pa.Table:
     )
 
 
-def group_extractions(
-    keyed_ds,
-    combine_batch_size: int | None = None,
-    finalize: bool = True,
-):
+def finalize_groups(batch: pa.Table) -> pa.Table:
+    """Blob rows -> unlinked Arrow GROUPS rows."""
+    n = batch.num_rows
+    inst_lists = [pickle.loads(b) for b in batch["instances_blob"].to_pylist()]
+    return groups_table(batch, inst_lists, [None] * n, [None] * n,
+                        [[]] * n, [[]] * n)
+
+
+def group_extractions(keyed_ds, finalize: bool = True):
     """keyed extraction Dataset -> groups Dataset (G1): combiner ->
     single shuffle -> (optionally) finalize to the Arrow GROUPS schema.
 
     ``finalize=False`` keeps the blob representation for downstream
     per-group stages (linker G3/G4) that would otherwise re-convert."""
     partial = keyed_ds.map_batches(
-        combine_batch, batch_format="pyarrow", batch_size=combine_batch_size
+        combine_batch, batch_format="pyarrow", batch_size=None
     )
     merged = merge_blob_shuffle(partial)
     if finalize:
         return merged.map_batches(finalize_groups, batch_format="pyarrow")
     return merged
-
-
-def combine_rows(rows) -> pa.Table:
-    """Map-side combiner over Python (key, norms, instance[, weight])
-    rows — the zero-Arrow-round-trip twin of ``combine_batch`` for the
-    fused extract+combine actor.  ``weight`` (default 1) is the
-    OCCURRENCE COUNT of the instance's sentence: the unique-sentence
-    front-end extracts each distinct sentence once and carries how many
-    times it occurred, so ``raw_count`` (the reference's pre-dedup
-    instance count, which drives the >500k drop) sums weights and stays
-    exactly equal to the per-occurrence pipeline's count."""
-    by_key: dict[str, list[int]] = {}
-    for i, row in enumerate(rows):
-        by_key.setdefault(row[0], []).append(i)
-    out = {k2: [] for k2 in
-           ("key", "arg1_norm", "rel_norm", "arg2_norm",
-            "instances_blob", "size", "raw_count")}
-    for k, idxs in by_key.items():
-        # no pre-truncation — see combine_batch: _dedup_cap conf-sorts
-        # then caps, keeping oracle semantics for mega-key batches
-        insts = _dedup_cap([rows[i][2] for i in idxs])
-        norms = rows[idxs[0]][1]
-        out["key"].append(k)
-        out["arg1_norm"].append(norms[0])
-        out["rel_norm"].append(norms[1])
-        out["arg2_norm"].append(norms[2])
-        out["instances_blob"].append(pickle.dumps(insts, protocol=4))
-        out["size"].append(len(insts))
-        out["raw_count"].append(sum(
-            (rows[i][3] if len(rows[i]) > 3 else 1) for i in idxs
-        ))
-    return pa.Table.from_pydict(out, schema=BLOB_GROUPS)
 
 
 def group_extractions_salted(
@@ -401,8 +355,8 @@ def group_extractions_salted(
         .map_batches(with_part_on("ks"), batch_format="pyarrow")
         .groupby("part")
         .map_groups(
-            lambda g: _merge_blob_part(g, group_cols=("key", "salt"),
-                                       drop=False),
+            lambda g: merge_blob_groups(g, group_cols=("key", "salt"),
+                                        drop=False),
             batch_format="pyarrow",
         )
     )

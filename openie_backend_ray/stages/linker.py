@@ -43,7 +43,6 @@ from collections import Counter
 
 import pyarrow as pa
 
-from openie_backend_ray import schema as S
 from openie_backend_ray.functions.headphrase import head_phrase
 from openie_backend_ray.functions.lnrm import lnrm
 
@@ -441,26 +440,19 @@ class LinkerActor:
         )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return S.GROUPS.empty_table()
-        blobs = batch["instances_blob"].to_pylist()
-        out = {
-            "arg1_norm": batch["arg1_norm"].to_pylist(),
-            "rel_norm": batch["rel_norm"].to_pylist(),
-            "arg2_norm": batch["arg2_norm"].to_pylist(),
-            "arg1_entity": [], "arg2_entity": [],
-            "arg1_types": [], "arg2_types": [],
-            "instances": [], "size": [], "corpora": [],
-        }
-        from openie_backend_ray.stages.grouper import _inst_unpack
+        from openie_backend_ray.stages.grouper import (
+            _inst_unpack,
+            groups_table,
+        )
 
-        for blob in blobs:
+        inst_lists = [pickle.loads(b)
+                      for b in batch["instances_blob"].to_pylist()]
+        a1_ents, a2_ents, a1_types, a2_types = [], [], [], []
+        for insts in inst_lists:
             # blob-internal instances carry tokens/postags/chunks as
             # space-joined strings (grouper._inst_pack); the context
             # string concatenates them directly, and only the HEAD
             # instance needs the list form for interval slicing
-            insts = pickle.loads(blob)
             head = _inst_unpack(insts[0])
             # context = the group's sentences (ScoobiEntityLinker.scala:
             # 66-108), CAPPED at the CONTEXT_MAX_SENTENCES
@@ -493,25 +485,16 @@ class LinkerActor:
                 for t, c in q.items()
             }
             qn = math.sqrt(sum(w * w for w in qv.values())) or 1.0
-            ents = []
-            typs = []
-            for which in ("arg1", "arg2"):
+            for which, ents, typs in (("arg1", a1_ents, a1_types),
+                                      ("arg2", a2_ents, a2_types)):
                 iv = head[which]
                 toks = head["tokens"][iv["start"]: iv["end"]]
                 tags = head["postags"][iv["start"]: iv["end"]]
                 ent, ts = self._link(toks, tags, qv, qn)
                 ents.append(ent)
                 typs.append(ts)
-            out["arg1_entity"].append(ents[0])
-            out["arg2_entity"].append(ents[1])
-            out["arg1_types"].append(typs[0])
-            out["arg2_types"].append(typs[1])
-            out["instances"].append(
-                [_inst_unpack(i) for i in insts]
-            )
-            out["size"].append(len(insts))
-            out["corpora"].append(sorted({i["corpus"] for i in insts}))
-        return pa.Table.from_pydict(out, schema=S.GROUPS)
+        return groups_table(batch, inst_lists, a1_ents, a2_ents,
+                            a1_types, a2_types)
 
 
 def link_groups(blob_groups_ds, tables_ref):

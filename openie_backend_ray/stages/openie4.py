@@ -27,6 +27,9 @@ from dataclasses import dataclass, field
 
 import pyarrow as pa
 
+from openie_backend_ray.functions.normalize import index_key_part, key_string
+from openie_backend_ray.stages.extract_pipeline import ExtractCombineActor
+
 RELNOUN_CONF = 0.8  # ScoobiOpenIE4.scala:79
 
 OIE4 = pa.schema(
@@ -555,6 +558,28 @@ class OpenIE4Actor:
         self.relnoun = relnoun if relnoun is not None else Relnoun()
         self.srl = srl_backend  # None = SRL path off (model absent)
 
+    def sentence_frames(self, toks, tags, chks):
+        """One sentence's (triple, nary) frames, shared by this actor
+        and the fused ``OpenIE4ExtractCombineActor``. Triples: Relnoun,
+        then ALL triplized SRL frames that have arg2s (:104-112,
+        ``flatMap(_.triplize())`` emits one triple per arg2). Narys: the
+        SRL frames, then Relnoun mirrored as 1-arg2 narys (:121-124).
+        A model that raises drops its frames for this sentence only."""
+        try:
+            relnoun_frames = self.relnoun.extract(toks, tags)
+        except Exception:  # per-record drop, ScoobiOpenIE4:84-90
+            relnoun_frames = []
+        srl_frames = []
+        if self.srl is not None:
+            try:
+                srl_frames = [f for f in self.srl.frames(toks, tags, chks)
+                              if f.arg2s]
+            except Exception:
+                srl_frames = []
+        triples = relnoun_frames + [t for f in srl_frames
+                                    for t in f.triplize()]
+        return triples, srl_frames + relnoun_frames
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows = {name: [] for name in OIE4.names}
 
@@ -599,32 +624,10 @@ class OpenIE4Actor:
         for doc_id, span_idx, toks, tags, chks, url in zip(
             doc_ids, span_idxs, toks_col, tags_col, chks_col, url_col
         ):
-            try:
-                relnoun_frames = self.relnoun.extract(toks, tags)
-            except Exception:  # per-record drop, ScoobiOpenIE4:84-90
-                relnoun_frames = []
-            srl_frames = []
-            if self.srl is not None:
-                try:
-                    srl_frames = [
-                        f
-                        for f in self.srl.frames(toks, tags, chks)
-                        if f.arg2s
-                    ]
-                except Exception:
-                    srl_frames = []
-            # triples: relnoun + ALL triplized SRL frames (:104-112,
-            # flatMap(_.triplize()) emits one triple per arg2)
-            for f in relnoun_frames:
+            triples, narys = self.sentence_frames(toks, tags, chks)
+            for f in triples:
                 emit("T", doc_id, span_idx, toks, tags, chks, url, f)
-            for f in srl_frames:
-                for t in f.triplize():
-                    emit("T", doc_id, span_idx, toks, tags, chks, url, t)
-            # nary: SRL frames + relnoun mirrored as 1-arg2 nary
-            # (:121-124)
-            for f in srl_frames:
-                emit("N", doc_id, span_idx, toks, tags, chks, url, f)
-            for f in relnoun_frames:
+            for f in narys:
                 emit("N", doc_id, span_idx, toks, tags, chks, url, f)
         return pa.Table.from_pydict(rows, schema=OIE4)
 
@@ -652,21 +655,42 @@ def split_kinds(oie4_ds, kind: str):
     return filtered.drop_columns(["kind"])
 
 
+def openie4_triple_key(toks, tags, chks, a1, rl, a2s, rel_text):
+    """G1 keying of one OpenIE4 triple, shared by ``openie4_keyed_batch``
+    and the fused actor so the two cannot fork. Intervals are
+    ``{"start", "end"}`` dicts; only the first arg2 counts. Arg parts
+    key on their token intervals; the rel part keys on the SURFACE rel
+    text. For Relnoun's synthesized "is <noun> of" the glue words are
+    tagged VBZ/IN so the key stems to "be <noun> of", matching the
+    reference's stemmed relText.
+
+    Returns ``((a1n, reln, a2n), arg2, chunks)`` with all-``O`` chunks
+    when the row has none, or None when a key part is empty (dropped
+    like the grouper map side)."""
+    if not a2s:
+        return None
+    a2 = a2s[0]
+    rs, re_ = rl["start"], rl["end"]
+    synth_toks = ["is"] + toks[rs:re_] + ["of"]
+    if rel_text == " ".join(synth_toks):
+        synth_tags = ["VBZ"] + tags[rs:re_] + ["IN"]
+        reln = index_key_part(synth_toks, synth_tags, 0, len(synth_toks))
+    else:
+        reln = index_key_part(toks, tags, rs, re_)
+    a1n = index_key_part(toks, tags, a1["start"], a1["end"])
+    a2n = index_key_part(toks, tags, a2["start"], a2["end"])
+    if not (a1n and reln and a2n):
+        return None
+    return (a1n, reln, a2n), a2, chks or ["O"] * len(toks)
+
+
 def openie4_keyed_batch(batch: pa.Table) -> pa.Table:
     """T rows -> keyed extraction rows (M5 for the OpenIE4 path): same
     schema as the ReVerb extractor's keyed output, so OpenIE4 triples
     feed the SAME G1 grouper and linker — the reference runs them as
     peer corpus jobs into one index (``ScoobiOpenIE4.scala:74-147``).
-
-    Key semantics: arg parts key on their token intervals; the rel part
-    keys on the SURFACE rel text.  For Relnoun's synthesized
-    "is <noun> of" the glue words are tagged VBZ/IN so the key stems to
-    "be <noun> of", matching the reference's stemmed relText."""
+    Keys come from ``openie4_triple_key``."""
     from openie_backend_ray import schema as S
-    from openie_backend_ray.functions.normalize import (
-        index_key_part,
-        key_string,
-    )
 
     cols = (
         "doc_id", "span_idx", "tokens", "postags", "chunks",
@@ -677,74 +701,39 @@ def openie4_keyed_batch(batch: pa.Table) -> pa.Table:
     rls = batch["rel"].to_pylist()
     a2ss = batch["arg2s"].to_pylist()
 
-    out: dict[str, list] = {
-        "doc_id": [], "span_idx": [], "tokens": [], "postags": [],
-        "chunks": [], "arg1": [], "rel": [], "arg2": [], "source_url": [],
-        "corpus": [], "confidence": [], "arg1_norm": [], "rel_norm": [],
-        "arg2_norm": [], "key": [],
-    }
+    out: dict[str, list] = {c: [] for c in S.KEYED_EXTRACTIONS.names}
     for i in range(batch.num_rows):
         toks = data["tokens"][i]
-        tags = data["postags"][i]
-        a1, rl = a1s[i], rls[i]
-        if not a2ss[i]:
+        keyed = openie4_triple_key(
+            toks, data["postags"][i], data["chunks"][i], a1s[i], rls[i],
+            a2ss[i], data["rel_text"][i],
+        )
+        if keyed is None:
             continue
-        a2 = a2ss[i][0]
-        rs, re_ = rl["start"], rl["end"]
-        synth_toks = ["is"] + toks[rs:re_] + ["of"]
-        if data["rel_text"][i] == " ".join(synth_toks):
-            synth_tags = ["VBZ"] + tags[rs:re_] + ["IN"]
-            reln = index_key_part(
-                synth_toks, synth_tags, 0, len(synth_toks)
-            )
-        else:
-            reln = index_key_part(toks, tags, rs, re_)
-        a1n = index_key_part(toks, tags, a1["start"], a1["end"])
-        a2n = index_key_part(toks, tags, a2["start"], a2["end"])
-        if not (a1n and reln and a2n):
-            continue  # empty key part: dropped like the grouper map side
-        chks = data["chunks"][i] or ["O"] * len(toks)
+        norms, a2, chks = keyed
         out["doc_id"].append(data["doc_id"][i])
         out["span_idx"].append(data["span_idx"][i])
         out["tokens"].append(toks)
-        out["postags"].append(tags)
+        out["postags"].append(data["postags"][i])
         out["chunks"].append(chks)
-        out["arg1"].append(a1)
-        out["rel"].append(rl)
+        out["arg1"].append(a1s[i])
+        out["rel"].append(rls[i])
         out["arg2"].append(a2)
         out["source_url"].append(data["source_url"][i])
         out["corpus"].append(data["corpus"][i])
         out["confidence"].append(data["confidence"][i])
-        out["arg1_norm"].append(a1n)
-        out["rel_norm"].append(reln)
-        out["arg2_norm"].append(a2n)
-        out["key"].append(key_string((a1n, reln, a2n)))
-    return pa.table(
-        {
-            "doc_id": pa.array(out["doc_id"], pa.string()),
-            "span_idx": pa.array(out["span_idx"], pa.int32()),
-            "tokens": pa.array(out["tokens"], pa.list_(pa.string())),
-            "postags": pa.array(out["postags"], pa.list_(pa.string())),
-            "chunks": pa.array(out["chunks"], pa.list_(pa.string())),
-            "arg1": pa.array(out["arg1"], S.INTERVAL),
-            "rel": pa.array(out["rel"], S.INTERVAL),
-            "arg2": pa.array(out["arg2"], S.INTERVAL),
-            "source_url": pa.array(out["source_url"], pa.string()),
-            "corpus": pa.array(out["corpus"], pa.string()),
-            "confidence": pa.array(out["confidence"], pa.float64()),
-            "arg1_norm": pa.array(out["arg1_norm"], pa.string()),
-            "rel_norm": pa.array(out["rel_norm"], pa.string()),
-            "arg2_norm": pa.array(out["arg2_norm"], pa.string()),
-            "key": pa.array(out["key"], pa.string()),
-        }
-    )
+        out["arg1_norm"].append(norms[0])
+        out["rel_norm"].append(norms[1])
+        out["arg2_norm"].append(norms[2])
+        out["key"].append(key_string(norms))
+    return pa.Table.from_pydict(out, schema=S.KEYED_EXTRACTIONS)
 
 
 def openie4_triples(chunked_ds, corpus: str = "corpus",
                     side_tables_ref=None, srl_backend="chunk"):
     """Full OpenIE4 corpus path: chunked sentences -> Relnoun + SRL ->
-    T split -> key assignment -> G1 grouper -> (optional) linker —
-    the OpenIE4 twin of the ReVerb flagship pipeline.  ``srl_backend``
+    T split -> key assignment -> G1 grouper -> (optional) linker, the
+    staged peer of ``openie4_triples_from_documents``.  ``srl_backend``
     defaults to the chunk-based stand-in (the reference always runs
     SRL); pass None to disable or an object for the real model."""
     from openie_backend_ray.stages.grouper import group_extractions
@@ -759,58 +748,54 @@ def openie4_triples(chunked_ds, corpus: str = "corpus",
                             side_tables_ref)
 
 
-class OpenIE4ExtractCombineActor:
-    """Fused map front-end for the OpenIE4 corpus path: unique
-    sentences -> chunk -> Relnoun/SRL extract -> key -> combine, in ONE
-    actor-pool stage (same rationale as the flagship's
-    ExtractCombineActor: split across 4 Dataset operators, the
-    streaming executor's allocator gives the hot stage ~25% of the
-    cluster).  Chunker lexicon + extractor models load once per actor
-    (A1/A3)."""
+class OpenIE4ExtractCombineActor(ExtractCombineActor):
+    """The flagship's fused actor with OpenIE4 extraction: unique
+    sentences -> layers -> Relnoun/SRL triples -> key -> combine, in ONE
+    actor-pool stage. Only ``_extract_text`` differs from
+    ``ExtractCombineActor``, so it inherits the template+fill
+    ``__call__``: extraction runs once per run of equal texts, each
+    row's URL goes onto a copy of the templates, and ``n`` weights the
+    combiner. SRL is always the ``ChunkSrl`` stand-in."""
 
     def __init__(self, lexicon_ref=None, lexicon=None,
-                 corpus: str = "corpus", use_chunk_srl: bool = True):
-        from openie_backend_ray.stages.chunker import ChunkerActor
+                 corpus: str = "corpus"):
+        super().__init__(lexicon_ref=lexicon_ref, lexicon=lexicon,
+                         corpus=corpus)
+        self.oie4 = OpenIE4Actor(corpus=corpus, srl_backend=ChunkSrl())
 
-        self.chunker = ChunkerActor(lexicon_ref=lexicon_ref,
-                                    lexicon=lexicon)
-        self.oie4 = OpenIE4Actor(
-            corpus=corpus,
-            srl_backend=ChunkSrl() if use_chunk_srl else None,
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        """``unique_sentences`` rows (text, source_url, n): extract each
-        distinct sentence once; span_idx carries the batch row index so
-        each keyed extraction can look up its occurrence weight
-        (doc_id/span_idx are combiner-dropped provenance placeholders
-        on this path)."""
-        import pyarrow.compute as pc
-
-        from openie_backend_ray.stages.grouper import combine_batch
-
-        ns = batch["n"].to_pylist()
-        sentences = pa.table(
-            {"doc_id": pa.array([""] * batch.num_rows, pa.string()),
-             "span_idx": pa.array(range(batch.num_rows), pa.int32()),
-             "text": batch["text"]}
-        )
-        chunked = self.chunker(sentences)
-        oie4 = self.oie4(chunked)
-        t_rows = oie4.filter(pc.equal(oie4["kind"], "T"))
-        keyed = openie4_keyed_batch(t_rows)
-        weights = pa.array(
-            [ns[i] for i in keyed["span_idx"].to_pylist()], pa.int64()
-        )
-        return combine_batch(keyed.append_column("weight", weights))
+    def _extract_text(self, s: str) -> list:
+        """Layers + Relnoun/SRL triples + key for ONE unique sentence."""
+        toks, tags, chks = self._text_layers(s)
+        found = []
+        for f in self.oie4.sentence_frames(toks, tags, chks)[0]:
+            a1 = {"start": f.arg1[0], "end": f.arg1[1]}
+            rl = {"start": f.rel[0], "end": f.rel[1]}
+            keyed = openie4_triple_key(
+                toks, tags, chks, a1, rl,
+                [{"start": a[0], "end": a[1]} for a in f.arg2s],
+                f.rel_text or " ".join(toks[f.rel[0]: f.rel[1]]),
+            )
+            if keyed is None:
+                continue
+            norms, a2, chunks = keyed
+            inst = {
+                "tokens": " ".join(toks), "postags": " ".join(tags),
+                "chunks": " ".join(chunks),
+                "arg1": a1, "rel": rl, "arg2": a2,
+                "source_url": "", "corpus": self.corpus,
+                "confidence": f.confidence,
+            }
+            found.append((key_string(norms), norms, inst))
+        return found
 
 
 def openie4_triples_from_documents(docs_ds, lexicon_ref=None,
                                    corpus: str = "corpus",
                                    side_tables_ref=None):
-    """Interleaved documents -> OpenIE4 triple groups, fused front-end
-    + ONE G1 shuffle (+ optional linker) — the corpus entry point the
-    bench and queries() use; ``openie4_triples`` remains the
+    """Documents or ``[sentence, url]`` lines -> OpenIE4 triple groups:
+    the unique-sentence exchange, the fused ``OpenIE4ExtractCombineActor``
+    pool, ONE G1 shuffle, then link or finalize. Line input keeps each
+    row's URL on its instances. ``openie4_triples`` remains the
     chunked-sentence entry for pre-chunked inputs."""
     from openie_backend_ray.stages.extract_pipeline import (
         unique_sentences,

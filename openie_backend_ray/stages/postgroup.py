@@ -8,7 +8,11 @@ from __future__ import annotations
 import pyarrow as pa
 
 from openie_backend_ray import schema as S
-from openie_backend_ray.functions.normalize import head_part, index_key
+from openie_backend_ray.functions.normalize import (
+    head_part,
+    index_key,
+    key_string,
+)
 from openie_backend_ray.functions.stemmer import stem
 from openie_backend_ray.stages.postprocess import PRONOUNS
 
@@ -251,7 +255,7 @@ def _head_index_key(insts: list[dict]) -> str:
         (head["rel"]["start"], head["rel"]["end"]),
         (head["arg2"]["start"], head["arg2"]["end"]),
     )
-    return "__".join(k)
+    return key_string(k)
 
 
 def regroup_add_key(batch: pa.Table) -> pa.Table:

@@ -8,6 +8,7 @@ order-insensitive value hash. Usage:
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -63,7 +64,8 @@ def main() -> int:
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False)
+        ray.init(address="local", num_cpus=min(8, os.cpu_count() or 1),
+                 include_dashboard=False)
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False

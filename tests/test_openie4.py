@@ -225,16 +225,20 @@ def test_actor_with_chunk_srl_emits_nary(ray_session):
     assert n_row["arg2_texts"] == ["Mary", "a book"]
 
 
-def test_fused_openie4_matches_staged(ray_session):
+@pytest.mark.parametrize("lines", [False, True],
+                         ids=["documents", "lines"])
+def test_fused_openie4_matches_staged(ray_session, lines):
     """The fused documents->partials actor produces the same groups as
     the staged chunk->extract path (same invariance the flagship's
-    fused front-end holds)."""
+    fused front-end holds), on documents and on ``[text, source_url]``
+    lines: full instance lists, ``source_url`` included."""
+    import json
+
     import ray
     import pyarrow as pa
     import ray.data as rd
 
     from openie_backend_ray import schema as S
-    from openie_backend_ray.fixtures.corpus import build_chunker_lexicon
     from openie_backend_ray.stages.chunker import ChunkerActor
     from openie_backend_ray.stages.openie4 import (
         openie4_triples,
@@ -243,17 +247,31 @@ def test_fused_openie4_matches_staged(ray_session):
     from openie_backend_ray.stages.sentences import explode_text_spans
 
     sents = [" ".join(c[1]) for c in PATTERN_CASES]
-    docs = pa.table(
-        {
-            "doc_id": pa.array([f"d{i}" for i in range(len(sents))],
-                               pa.string()),
-            "spans": pa.array(
-                [[{"kind": "text", "text": s, "media_ref": "",
-                   "offset": 0}] for s in sents],
-                pa.list_(S.SPAN),
-            ),
-        }
-    )
+    if lines:
+        # every sentence under its own URL, the first also under a
+        # second, smaller URL that must win the instance dedup
+        texts = sents + sents[:1]
+        urls = [f"http://ex.org/{i}" for i in range(len(sents))] + [
+            "http://alt.example/0"]
+        inp = pa.table(
+            {"text": pa.array(texts, pa.string()),
+             "source_url": pa.array(urls, pa.string()),
+             "doc_id": pa.array([str(i) for i in range(len(texts))],
+                                pa.string()),
+             "span_idx": pa.array([0] * len(texts), pa.int32())}
+        )
+    else:
+        inp = pa.table(
+            {
+                "doc_id": pa.array([f"d{i}" for i in range(len(sents))],
+                                   pa.string()),
+                "spans": pa.array(
+                    [[{"kind": "text", "text": s, "media_ref": "",
+                       "offset": 0}] for s in sents],
+                    pa.list_(S.SPAN),
+                ),
+            }
+        )
     lex = pa.table(
         {
             "sentence": pa.array(sents, pa.string()),
@@ -268,12 +286,14 @@ def test_fused_openie4_matches_staged(ray_session):
     lex_ref = ray.put(lex)
 
     fused = openie4_triples_from_documents(
-        rd.from_arrow(docs), lexicon_ref=lex_ref, corpus="cw"
+        rd.from_arrow(inp), lexicon_ref=lex_ref, corpus="cw"
     ).to_pandas()
 
-    chunked = rd.from_arrow(docs).map_batches(
-        explode_text_spans, batch_format="pyarrow"
-    ).map_batches(
+    sentences = rd.from_arrow(inp)
+    if not lines:
+        sentences = sentences.map_batches(explode_text_spans,
+                                          batch_format="pyarrow")
+    chunked = sentences.map_batches(
         ChunkerActor,
         fn_constructor_kwargs={"lexicon_ref": lex_ref},
         batch_format="pyarrow",
@@ -287,6 +307,20 @@ def test_fused_openie4_matches_staged(ray_session):
     assert list(f["arg1_norm"]) == list(s["arg1_norm"])
     assert list(f["size"]) == list(s["size"])
     assert len(f) == 1 and int(f.iloc[0]["size"]) == len(PATTERN_CASES)
+
+    def canon(insts):
+        return json.dumps(
+            [dict(sorted(i.items())) for i in insts],
+            default=list, sort_keys=True,
+        )
+
+    for fi, si in zip(f["instances"], s["instances"]):
+        assert canon(fi) == canon(si)
+    urls = {i["source_url"] for insts in f["instances"] for i in insts}
+    if lines:
+        assert "http://alt.example/0" in urls and "" not in urls
+    else:
+        assert urls == {""}
 
 
 @requires_reference

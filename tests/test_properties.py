@@ -172,18 +172,19 @@ def _keyed_insts(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_keyed_insts(), st.lists(st.integers(0, 2), min_size=8, max_size=8),
-       st.permutations(range(8)))
+       st.permutations(range(16)))
 def test_combiner_partition_invariance(insts, parts, perm):
     """G1 combiner correctness: permuting the input rows AND changing
     the partition layout (which rows pre-combine together) must yield
     byte-identical merged blob groups — the property that makes the
     map-side combiner and the salted two-phase shuffle output-identical
-    to a plain groupByKey."""
+    to a plain groupByKey. Two keys interleave, so every merge sees a
+    multi-key partition."""
     import pyarrow as pa
 
     from openie_backend_ray.stages import grouper as G
 
-    rows = [("k", ("x", "meet", "y"), i) for i in insts]
+    rows = [(k, (k, "meet", "y"), i) for i in insts for k in ("k", "k2")]
 
     def run(order, assign):
         chunks: dict[int, list] = {}
@@ -197,16 +198,20 @@ def test_combiner_partition_invariance(insts, parts, perm):
             G.combine_rows(ch) for ch in chunks.values() if ch
         ]
         t = pa.concat_tables(partials)
-        return G.merge_blob_groups(t)
+        return G.merge_blob_groups(t).sort_by("key")
 
     base = run(list(range(len(rows))), [0])          # one partition
     alt = run(list(perm), parts)                     # shuffled + split
-    assert base.num_rows == alt.num_rows == 1
-    assert base["size"][0].as_py() == alt["size"][0].as_py()
+    assert base.num_rows == alt.num_rows == 2
+    assert base["key"].to_pylist() == alt["key"].to_pylist() == ["k", "k2"]
+    assert base["size"].to_pylist() == alt["size"].to_pylist()
+    assert base["raw_count"].to_pylist() == alt["raw_count"].to_pylist() \
+        == [len(insts)] * 2
     # compare unpickled CONTENT (incl. order): raw blob bytes may
     # differ across merge depths from pickle string-memoization, which
     # is not semantic
     import pickle
 
-    assert pickle.loads(base["instances_blob"][0].as_py()) == \
-        pickle.loads(alt["instances_blob"][0].as_py())
+    for b, a in zip(base["instances_blob"].to_pylist(),
+                    alt["instances_blob"].to_pylist()):
+        assert pickle.loads(b) == pickle.loads(a)
