@@ -8,8 +8,9 @@ graph materialization) expressed Ray-Data-first:
 - every table is a ``ray.data.Dataset`` of Arrow blocks,
 - per-record transforms are vectorized ``map_batches`` stages,
 - stateful stages (chunker/extractor/linker) are actor pools,
-- the wide steps are ``groupby().map_groups`` shuffles keyed on the
-  normalized (arg1, rel, arg2) triple with explicit skew caps/salting,
+- the wide steps go through one hash exchange (``ops.partition.exchange``)
+  keyed on the normalized (arg1, rel, arg2) triple with explicit skew
+  caps/salting,
 - output is partitioned Parquet with per-partition lineage for resume.
 
 The reference (read-only, at /root/reference) defines WHAT is computed;

@@ -44,7 +44,7 @@ def _anti_join_losers(ds, losers_ds):
     """LEFT-ANTI co-group: drop every ``ds`` row whose doc_id appears
     in ``losers_ds`` — side-tagged union, hash(doc_id) partitions, one
     vectorized pandas pass per partition.  Nothing is collected."""
-    from openie_backend_ray.ops.partition import with_part_on
+    from openie_backend_ray.ops.partition import exchange
 
     def tag_docs(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -69,14 +69,9 @@ def _anti_join_losers(ds, losers_ds):
         kept = g.filter(pa.array(keep))
         return pa.table({"doc_id": kept["doc_id"], "text": kept["text"]})
 
-    tagged = (
-        ds.map_batches(tag_docs, batch_format="pyarrow")
-        .union(losers_ds.map_batches(tag_losers, batch_format="pyarrow"))
-        .map_batches(with_part_on("doc_id"), batch_format="pyarrow")
-    )
-    return tagged.groupby("part").map_groups(
-        keep_part, batch_format="pyarrow"
-    )
+    tagged = ds.map_batches(tag_docs, batch_format="pyarrow").union(
+        losers_ds.map_batches(tag_losers, batch_format="pyarrow"))
+    return exchange(tagged, "doc_id", keep_part)
 
 
 def clean_corpus(ds, jaccard_threshold: float = 0.5,

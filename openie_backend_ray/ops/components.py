@@ -15,10 +15,10 @@ Scale notes:
 - The iterated dataset is the EDGE list, which for dedup workloads is
   tiny relative to the corpus (O(duplicates)); each round shuffles
   only (int64, int64) pairs plus a partition key.
-- Per-round work is vectorized pandas/numpy inside hash partitions
-  (``groupby(part)``, one Python call per PARTITION, not per node);
-  within-partition dedup doubles as global dedup because the partition
-  key is a pure function of the grouping node.
+- Each round is one ``ops.partition.exchange`` on the grouping node:
+  vectorized pandas/numpy, one Python call per PARTITION, not per
+  node; within-partition dedup doubles as global dedup because every
+  row of a node lands in one partition.
 - Iterative algorithms must materialize between rounds (otherwise the
   lazy lineage re-executes every prior round); each round's edge set
   is materialized and the previous one dropped.
@@ -31,49 +31,29 @@ import pyarrow as pa
 _EDGE_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 _OUT_SCHEMA = pa.schema([("doc_id", pa.int64()), ("component", pa.int64())])
 
-# Knuth multiplicative hash so dense doc-id ranges spread across
-# partitions instead of landing range-contiguous.
-_HASH_MULT = 2654435761
 
-
-def _with_part(tbl, node_col: str, npart: int) -> pa.Table:
+def _sym_batch(batch: pa.Table) -> pa.Table:
+    """Directed both ways (u, v)."""
     import numpy as np
 
-    u = tbl[node_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-    part = ((u * _HASH_MULT) % (1 << 32)) % npart
-    return tbl.append_column("part", pa.array(part.astype("int64")))
+    a = batch["a"].to_numpy(zero_copy_only=False)
+    b = batch["b"].to_numpy(zero_copy_only=False)
+    keep = a != b  # drop self-loops
+    a, b = a[keep], b[keep]
+    return pa.table({"u": pa.array(np.concatenate([a, b]), pa.int64()),
+                     "v": pa.array(np.concatenate([b, a]), pa.int64())})
 
 
-def _sym_batch(npart: int):
-    """Directed both ways (u, v) + partition key on u."""
-    import numpy as np
-
-    def fn(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False)
-        b = batch["b"].to_numpy(zero_copy_only=False)
-        keep = a != b  # drop self-loops
-        a, b = a[keep], b[keep]
-        t = pa.table({"u": pa.array(np.concatenate([a, b]), pa.int64()),
-                      "v": pa.array(np.concatenate([b, a]), pa.int64())})
-        return _with_part(t, "u", npart)
-
-    return fn
-
-
-def _down_batch(npart: int):
+def _down_batch(batch: pa.Table) -> pa.Table:
     """Direct each edge from its larger to its smaller endpoint."""
     import numpy as np
 
-    def fn(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False)
-        b = batch["b"].to_numpy(zero_copy_only=False)
-        keep = a != b
-        a, b = a[keep], b[keep]
-        t = pa.table({"u": pa.array(np.maximum(a, b), pa.int64()),
-                      "v": pa.array(np.minimum(a, b), pa.int64())})
-        return _with_part(t, "u", npart)
-
-    return fn
+    a = batch["a"].to_numpy(zero_copy_only=False)
+    b = batch["b"].to_numpy(zero_copy_only=False)
+    keep = a != b
+    a, b = a[keep], b[keep]
+    return pa.table({"u": pa.array(np.maximum(a, b), pa.int64()),
+                     "v": pa.array(np.minimum(a, b), pa.int64())})
 
 
 def _large_star_part(g: pa.Table) -> pa.Table:
@@ -167,8 +147,7 @@ def _union_find_local(cur) -> pa.Table:
     )
 
 
-def connected_components(edges, npartitions: int = 32,
-                         max_cycles: int = 30,
+def connected_components(edges, max_cycles: int = 30,
                          small_graph_max_edges: int = 5_000_000):
     """Edge list ``(doc_a|a, doc_b|b)`` -> ``(doc_id, component)`` with
     ``component`` = the smallest doc_id in each connected component.
@@ -210,20 +189,15 @@ def connected_components(edges, npartitions: int = 32,
 
         return ray.data.from_arrow(_union_find_local(cur))
 
+    from openie_backend_ray.ops.partition import exchange
+
     cs = _checksum(cur)
     for _ in range(max_cycles):
-        large = (
-            cur.map_batches(_sym_batch(npartitions),
-                            batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(_large_star_part, batch_format="pyarrow")
-        ).materialize()
-        small = (
-            large.map_batches(_down_batch(npartitions),
-                              batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(_small_star_part, batch_format="pyarrow")
-        ).materialize()
+        large = exchange(cur.map_batches(_sym_batch, batch_format="pyarrow"),
+                         "u", _large_star_part).materialize()
+        small = exchange(
+            large.map_batches(_down_batch, batch_format="pyarrow"),
+            "u", _small_star_part).materialize()
         new_cs = _checksum(small)
         cur = small
         if new_cs == cs:

@@ -350,15 +350,14 @@ def dup_ngram_coverage(ds, k: int = 5):
 
     Scale shape: the duplicated-gram set is O(corpus grams), far too
     big to broadcast (unlike decontaminate's bounded eval set), so
-    multiplicity attaches via ONE gram-hash-partitioned co-group: all
-    rows of a gram land in the same hash partition (deterministic
-    ``pd.util.hash_array``), and each PARTITION — not each gram — is
-    one vectorized pandas ``transform('size')`` call (per-gram
-    ``map_groups`` measured ~6 s at sf0.1 purely on 250k tiny Python
-    invocations; the components.py partition pattern). Then a per-doc
+    multiplicity attaches via ONE ``ops.partition.exchange`` on the
+    gram: all rows of a gram land in the same hash partition, and each
+    PARTITION — not each gram — is one vectorized pandas
+    ``transform('size')`` call (per-gram ``map_groups`` measured ~6 s
+    at sf0.1 purely on 250k tiny Python invocations). Then a per-doc
     sum with a map-side Arrow combiner. Nothing materializes the gram
     table."""
-    from openie_backend_ray.ops.partition import with_part_on
+    from openie_backend_ray.ops.partition import exchange
 
     def occurrences(batch: pa.Table) -> pa.Table:
         oc = (_grams_frame(batch, k)
@@ -408,10 +407,8 @@ def dup_ngram_coverage(ds, k: int = 5):
         )
 
     return (
-        ds.map_batches(occurrences, batch_format="pyarrow")
-        .map_batches(with_part_on("gram"), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(attach_multiplicity, batch_format="pyarrow")
+        exchange(ds.map_batches(occurrences, batch_format="pyarrow"),
+                 "gram", attach_multiplicity)
         .map_batches(per_doc_partial, batch_format="pyarrow")
         .groupby("doc_id")
         .sum(["occ", "dup_occ"])

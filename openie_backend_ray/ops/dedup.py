@@ -32,7 +32,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from openie_backend_ray.ops.partition import with_part_on
+from openie_backend_ray.ops.partition import exchange, partition_map_groups
 
 NUM_PERM = 12
 BANDS = 4  # rows per band = NUM_PERM // BANDS
@@ -77,10 +77,8 @@ def span_dedup(ds, span_tokens: int = 10):
     ONE md5(span)-hash-partitioned co-group (span text never shuffles
     ungrouped — the 16-byte digest is the key, spans ride as values
     exactly once); reassembly is ONE doc_id-partitioned co-group.  No
-    step holds the corpus, and both shuffles use the shared partition
-    pattern."""
-    from openie_backend_ray.ops.partition import partition_map_groups
-
+    step holds the corpus, and both go through
+    ``partition_map_groups``."""
     def explode(batch: pa.Table) -> pa.Table:
         toks_col = pc.split_pattern_regex(batch["text"], r"\s+").to_pylist()
         ids = batch["doc_id"].to_pylist()
@@ -220,10 +218,6 @@ def minhash_bands_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def _with_bucket_part(b: pa.Table) -> pa.Table:
-    return with_part_on("bucket")(b)
-
-
 def _chain_mask(df, keys: list[str]) -> "np.ndarray":
     """Boolean mask over rows 1..n-1 of a keys-sorted frame marking
     rows whose predecessor shares all ``keys`` — integer/string
@@ -302,11 +296,7 @@ def minhash_pairs(ds):
     representative), distinct across bands. Shuffles only (band,
     bucket, doc_id) tuples."""
     bands = ds.map_batches(minhash_bands_batch, batch_format="pyarrow")
-    pairs = (
-        bands.map_batches(_with_bucket_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_bucket_pairs_part, batch_format="pyarrow")
-    )
+    pairs = exchange(bands, "bucket", _bucket_pairs_part)
     # distinct (a pair can collide in several bands)
     return _distinct_pairs(pairs)
 
@@ -380,12 +370,8 @@ def winnow_pairs(ds, k: int = WINNOW_K, w: int = WINNOW_W):
              "doc_id": fp["doc_id"]}
         )
 
-    cand = (
-        ds.map_batches(as_buckets, batch_format="pyarrow")
-        .map_batches(_with_bucket_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_bucket_pairs_part, batch_format="pyarrow")
-    )
+    cand = exchange(ds.map_batches(as_buckets, batch_format="pyarrow"),
+                    "bucket", _bucket_pairs_part)
     return _distinct_pairs(cand)
 
 
@@ -408,15 +394,25 @@ def materialize_store_fingerprints(store_ds, path: str,
     the SAME parameters — a silent mismatch yields near-zero overlap
     and no flagged duplicates instead of an error."""
     import json
-    import os
 
     winnow_fingerprints(store_ds, k, w).write_parquet(path)
+    fs, sidecar = _winnow_sidecar(path)
+    with fs.open_output_stream(sidecar) as f:
+        f.write(json.dumps({"k": k, "w": w}).encode())
+    return path
+
+
+def _winnow_sidecar(path: str):
+    """(filesystem, sidecar path) of a fingerprint store: a local path,
+    Ray's ``local://`` form of one, or any URI pyarrow resolves
+    (``file://``, ``s3://``, ...)."""
+    from pyarrow import fs
+
     local = path[len("local://"):] if path.startswith("local://") else path
     if "://" not in local:
-        with open(os.path.join(local, "_winnow_params.json"), "w",
-                  encoding="utf-8") as f:
-            json.dump({"k": k, "w": w}, f)
-    return path
+        local = os.path.abspath(local)
+    filesystem, root = fs.FileSystem.from_uri(local)
+    return filesystem, f"{root.rstrip('/')}/_winnow_params.json"
 
 
 def read_store_fingerprints(path: str, k: int = WINNOW_K,
@@ -425,15 +421,14 @@ def read_store_fingerprints(path: str, k: int = WINNOW_K,
     ``delta_dedup(..., store_is_fingerprints=True)``, asserting its
     sidecar (k, w) match the parameters the delta side will use."""
     import json
-    import os
 
     import ray
+    from pyarrow import fs as pafs
 
-    local = path[len("local://"):] if path.startswith("local://") else path
-    manifest = os.path.join(local, "_winnow_params.json")
-    if os.path.exists(manifest):
-        with open(manifest, encoding="utf-8") as f:
-            params = json.load(f)
+    fs, sidecar = _winnow_sidecar(path)
+    if fs.get_file_info(sidecar).type != pafs.FileType.NotFound:
+        with fs.open_input_stream(sidecar) as f:
+            params = json.loads(f.read())
         if (params.get("k"), params.get("w")) != (k, w):
             raise ValueError(
                 f"store fingerprints at {path} were winnowed with "
@@ -505,14 +500,10 @@ def delta_dedup(delta_ds, store_ds, k: int = WINNOW_K, w: int = WINNOW_W,
              "n_shared": pc.cast(b["sum(n_shared)"], pa.int64())}
         )
 
-    tagged = (
-        delta_ds.map_batches(tag(0), batch_format="pyarrow")
-        .union(store_ds.map_batches(tag(1), batch_format="pyarrow"))
-        .map_batches(with_part_on("fp"), batch_format="pyarrow")
-    )
+    tagged = delta_ds.map_batches(tag(0), batch_format="pyarrow").union(
+        store_ds.map_batches(tag(1), batch_format="pyarrow"))
     return (
-        tagged.groupby("part")
-        .map_groups(hits_part, batch_format="pyarrow")
+        exchange(tagged, "fp", hits_part)
         .map_batches(partial, batch_format="pyarrow")
         .groupby("doc_id")
         .sum("n_shared")
@@ -659,8 +650,8 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.5,
     vectorized pandas merge per partition hands each doc's shingle set
     to the pair-halves that reference it), then a hash-partitioned
     co-group on pair_id that scores each pair from its two adjacent
-    halves.  Both shuffles move ``part``-bucketed rows, never one
-    Python task per key (the per-key ``map_groups`` this replaced was
+    halves.  Both are ``exchange`` calls, one Python call per
+    partition, never one per key (the per-key ``map_groups`` this replaced was
     the measured 6-10 s anti-pattern at sf0.1).  No process ever holds
     the corpus.
 
@@ -738,17 +729,8 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.5,
     pairs_t = cands.map_batches(_tag_pair_halves, batch_format="pyarrow")
     docs_t = docs_side.map_batches(_tag_doc_shingles,
                                    batch_format="pyarrow")
-    joined = (
-        pairs_t.union(docs_t)
-        .map_batches(with_part_on("jkey"), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_attach_shingles_part, batch_format="pyarrow")
-    )
-    scored = (
-        joined.map_batches(with_part_on("pair_id"), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_score_pairs_part, batch_format="pyarrow")
-    )
+    joined = exchange(pairs_t.union(docs_t), "jkey", _attach_shingles_part)
+    scored = exchange(joined, "pair_id", _score_pairs_part)
     return scored.filter(expr=f"jaccard >= {threshold}")
 
 
@@ -841,12 +823,7 @@ def simhash_pairs(ds, max_hamming: int = 3):
         ).filter(keep)
 
     blk = ds.map_batches(blocks, batch_format="pyarrow")
-    cand = (
-        blk.map_batches(with_part_on("block_val"),
-                        batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pairs_part, batch_format="pyarrow")
-    )
+    cand = exchange(blk, "block_val", pairs_part)
     return _distinct_pairs(cand)
 
 

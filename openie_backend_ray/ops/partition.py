@@ -1,69 +1,80 @@
-"""Hash-partitioned per-key co-groups (the shared partition pattern).
+"""The one hash exchange behind the package's keyed wide steps.
 
-``groupby(key).map_groups(fn)`` on a high-cardinality key pays Ray's
-per-GROUP machinery — a group slice, a Python call, and a 1-row-ish
-output table per key, concatenated afterwards.  Measured on the G1
-reduce this was the dominant cost at 13k keys (one call per key), and
-at 10^9 distinct args (UnlinkableEntityTyper scale) it is the known
-cliff.  ``partition_map_groups`` keeps the per-key FUNCTION unchanged
-but runs ONE Python call per hash PARTITION: rows hash-partition on
-the key (the shared ``with_part_on`` bucketing, determinism-critical),
-each partition sorts once, key runs are sliced out vectorized, and fn
-outputs concatenate once per partition.  Shuffle key cardinality is
-bounded by the partition count regardless of key cardinality.
+A keyed wide step is one MapReduce shape: hash the rows on a key, then
+reduce each key whole.  ``exchange(ds, key, fn)`` is that shape,
+written once.  Rows hash on ``key`` (one column or several) into P
+partitions, Ray's ``groupby`` on the partition id moves them, and
+``fn`` runs once per PARTITION on a table that holds every row of each
+of its keys.  One Python call per partition, not one Ray group slice
+and one tiny output table per key: per-key ``map_groups`` on the G1
+reduce was the dominant cost at 13k keys, and at 10^9 distinct args
+(UnlinkableEntityTyper scale) it is the known cliff.
 
-Per-key semantics are exact: every row of a key lands in the same
-partition, and fn still sees exactly one key's rows per call (in
-arbitrary intra-key order, same contract as ``map_groups``).
+P is 4 x the cluster's CPUs, read once on the driver when the plan is
+built and captured in the map closure, so every map task of one
+exchange agrees.  Results are independent of P (every row of a key
+lands in one partition, and the per-key logic inside is exact); P sets
+only the reduce-task granularity.  Ray's ``map_groups`` sorts on the
+partition id, so at most P reduce groups hold data.
+
+``partition_map_groups`` is the per-key adapter: a drop-in for
+``ds.groupby(key).map_groups(fn)`` that sorts each partition once and
+hands ``fn`` one key's rows per call (in arbitrary intra-key order,
+the same contract as ``map_groups``).
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from typing import Callable
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# Partition count for every hash-bucketed co-group. RESULTS are
-# independent of this number (each key's rows stay whole inside one
-# partition; the per-key logic inside is exact) — it sets only the
-# reduce-task granularity. 64 fits the 32-vCPU sandbox; on a real
-# cluster set GRAFT_BUCKET_PARTS to ~4x total cores so each reduce
-# task holds a worker-heap-sized slice of the keyspace.
-_BUCKET_NPART = int(os.environ.get("GRAFT_BUCKET_PARTS", "64") or "64")
+_PART = "__exchange_part"
 
 
-def with_part_on(col: str):
-    """Deterministic hash partition on a string column (siphash via
-    ``pd.util.hash_array``, identical on every worker).  Grouping by
-    this partition instead of the raw high-cardinality key turns ~one
-    Python ``map_groups`` call per KEY (40k+ tiny calls at sf0.1)
-    into one vectorized pandas call per PARTITION; each partition
-    still holds every row of each of its keys, so the per-key logic
-    inside is exact.  ONE shared implementation — the partition count
-    and hash are determinism-critical, so every bucketed op (minhash,
-    simhash, winnowing, delta dedup, gram coverage) must use this
-    exact function."""
+def partition_count() -> int:
+    """P for one exchange: 4 x the cluster's CPUs.  Before Ray is
+    initialized the host's CPUs, which Ray Data's auto-init will
+    use."""
+    import ray
+
+    cpus = (ray.cluster_resources().get("CPU", 0) if ray.is_initialized()
+            else os.cpu_count())
+    return 4 * max(1, int(cpus or 1))
+
+
+def exchange(ds, key: str | Sequence[str],
+             fn: Callable[[pa.Table], pa.Table]):
+    """Hash-partition ``ds`` on ``key`` and apply ``fn`` to each whole
+    partition (without the partition column).  The hash is
+    ``pd.util.hash_pandas_object`` over the key columns in their
+    native dtype: siphash with a fixed key, identical on every
+    worker."""
     import pandas as pd
 
-    def fn(b: pa.Table) -> pa.Table:
-        # native dtype: string cols hash as object (unchanged), int64
-        # cols hash vectorized — both deterministic across processes
-        part = pd.util.hash_array(
-            b[col].to_pandas().to_numpy()
-        ) % _BUCKET_NPART
-        return b.append_column("part", pa.array(part.astype("int64")))
+    cols = [key] if isinstance(key, str) else list(key)
+    n = np.uint64(partition_count())
 
-    return fn
+    def tag(b: pa.Table) -> pa.Table:
+        h = pd.util.hash_pandas_object(b.select(cols).to_pandas(),
+                                       index=False).to_numpy()
+        return b.append_column(_PART, pa.array((h % n).astype(np.int64)))
+
+    return (
+        ds.map_batches(tag, batch_format="pyarrow")
+        .groupby(_PART)
+        .map_groups(lambda g: fn(g.drop_columns([_PART])),
+                    batch_format="pyarrow")
+    )
 
 
 def apply_per_key(g: pa.Table, key: str,
                   fn: Callable[[pa.Table], pa.Table]) -> pa.Table:
     """One partition: sort by ``key``, slice each key run, apply fn."""
-    if "part" in g.column_names:
-        g = g.drop_columns(["part"])
     if g.num_rows == 0:
         return fn(g)
     idx = pc.sort_indices(g, sort_keys=[(key, "ascending")])
@@ -82,11 +93,6 @@ def apply_per_key(g: pa.Table, key: str,
 
 def partition_map_groups(ds, key: str,
                          fn: Callable[[pa.Table], pa.Table]):
-    """Drop-in for ``ds.groupby(key).map_groups(fn)`` on a
-    high-cardinality key: one vectorized call per hash partition."""
-    return (
-        ds.map_batches(with_part_on(key), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(lambda g: apply_per_key(g, key, fn),
-                    batch_format="pyarrow")
-    )
+    """Drop-in for ``ds.groupby(key).map_groups(fn)``: ``fn`` per key,
+    one exchange call per partition."""
+    return exchange(ds, key, lambda g: apply_per_key(g, key, fn))

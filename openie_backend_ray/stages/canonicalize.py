@@ -11,9 +11,10 @@ Port of ``models/.../ReVerbExtractionGroup.scala:103-168``
    one linked group (several distinctly-linked groups stay separate),
    then rewrite the norms to the frontend key.
 
-Distributed shape: both passes are ``groupby(key).map_groups`` shuffles
-over the (already aggregated, much smaller) groups table. Keys are
-computed vectorized in a preceding ``map_batches``.
+Distributed shape: both passes are ``ops.partition.partition_map_groups``
+calls (one hash exchange each) over the (already aggregated, much
+smaller) groups table. Keys are computed vectorized in a preceding
+``map_batches``.
 """
 
 from __future__ import annotations

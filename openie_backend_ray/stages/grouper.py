@@ -19,7 +19,7 @@ reducer-side caps (truncate each group to 40k instances, drop >500k;
    tripled its wall time. Per-block combining keeps the task count
    equal to the block count while combining as widely as the block
    allows.
-2. ONE shuffle over the partials, hash-partitioned on ``key``, whose
+2. ONE ``ops.partition.exchange`` of the partials on ``key``, whose
    reducer (``merge_blob_groups``) merges a whole partition of keys
    per call.
 
@@ -245,20 +245,14 @@ def merge_blob_groups(g: pa.Table, group_cols: tuple[str, ...] = ("key",),
 
 
 def merge_blob_shuffle(partial):
-    """The G1 reduce as a partitioned shuffle: hash-partition the
-    partial rows on ``key`` (the shared ``with_part_on`` bucketing),
-    group by the partition id, and merge each partition's keys in one
-    ``merge_blob_groups`` call.  Key skew stays bounded because the
-    rows entering the shuffle are already per-block combiner partials
-    (a hot key contributes at most one capped row per upstream
-    block)."""
-    from openie_backend_ray.ops.partition import with_part_on
+    """The G1 reduce: ``ops.partition.exchange`` of the partial rows on
+    ``key``, each partition's keys merged in one ``merge_blob_groups``
+    call.  Key skew stays bounded because the rows entering the
+    exchange are already per-block combiner partials (a hot key
+    contributes at most one capped row per upstream block)."""
+    from openie_backend_ray.ops.partition import exchange
 
-    return (
-        partial.map_batches(with_part_on("key"), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge_blob_groups, batch_format="pyarrow")
-    )
+    return exchange(partial, "key", merge_blob_groups)
 
 
 def groups_table(batch: pa.Table, inst_lists: list[list[dict]],
@@ -314,12 +308,12 @@ def group_extractions_salted(
     finalize: bool = True,
 ):
     """G1 with EXPLICIT key salting (north-rule requirement for
-    head-entity skew): two-phase shuffle —
+    head-entity skew): two exchanges —
 
-    1. ``groupby((key, salt))`` where ``salt = md5(sentence) %
+    1. on ``(key, salt)`` where ``salt = md5(sentence) %
        salt_buckets``: a head key ("obama"/"be") splits across
        ``salt_buckets`` reducers, each merging + capping its slice;
-    2. ``groupby(key)`` over the per-salt partials (at most
+    2. on ``key`` over the per-salt partials (at most
        ``salt_buckets`` rows per key) for the final merge.
 
     Output is identical to ``group_extractions`` (same caps, same
@@ -343,22 +337,12 @@ def group_extractions_salted(
     salted = partial.map_batches(add_salt, batch_format="pyarrow")
     # phase-1 partitions on (key, salt) — the salt MUST reach the
     # partition hash or a hot key still lands on one reducer
-    from openie_backend_ray.ops.partition import with_part_on
+    from openie_backend_ray.ops.partition import exchange
 
-    def add_ks(batch: pa.Table) -> pa.Table:
-        ks = [f"{k}\x1f{s}" for k, s in
-              zip(batch["key"].to_pylist(), batch["salt"].to_pylist())]
-        return batch.append_column("ks", pa.array(ks, pa.string()))
-
-    phase1 = (
-        salted.map_batches(add_ks, batch_format="pyarrow")
-        .map_batches(with_part_on("ks"), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(
-            lambda g: merge_blob_groups(g, group_cols=("key", "salt"),
-                                        drop=False),
-            batch_format="pyarrow",
-        )
+    phase1 = exchange(
+        salted, ("key", "salt"),
+        lambda g: merge_blob_groups(g, group_cols=("key", "salt"),
+                                    drop=False),
     )
     merged = merge_blob_shuffle(phase1)
     if finalize:

@@ -44,6 +44,17 @@ def shard_complete(out_dir: str, input_fp: str) -> bool:
         return False
 
 
+def _parquet_rows(out_dir: str) -> int:
+    """Row count of every parquet file under ``out_dir``, from footers."""
+    import pyarrow.parquet as pq
+
+    return sum(
+        pq.read_metadata(os.path.join(root, f)).num_rows
+        for root, _, files in os.walk(out_dir)
+        for f in files if f.endswith(".parquet")
+    )
+
+
 def run_shard(
     shard_id: str,
     input_paths: Sequence[str],
@@ -54,7 +65,10 @@ def run_shard(
 
     ``compute(input_paths, tmp_out_dir) -> metrics`` writes parquet into
     ``tmp_out_dir``; on success the temp dir is renamed into place and
-    the manifest (lineage + metrics) written. Returns the manifest."""
+    the manifest (lineage + metrics) written. ``metrics["rows_out"]``
+    is read from the footers of the parquet files just written, so
+    ``compute`` only writes (counting a lazy Dataset after writing it
+    would run its pipeline twice). Returns the manifest."""
     fp = fingerprint_paths(input_paths)
     if shard_complete(out_dir, fp):
         with open(os.path.join(out_dir, MANIFEST), encoding="utf-8") as f:
@@ -67,6 +81,7 @@ def run_shard(
     os.makedirs(tmp, exist_ok=True)
     t0 = time.time()
     metrics = compute(input_paths, tmp)
+    metrics["rows_out"] = _parquet_rows(tmp)
     manifest = {
         "shard_id": shard_id,
         "input_paths": list(input_paths),

@@ -37,8 +37,9 @@ def main() -> int:
     import ray
 
     if not ray.is_initialized():
+        cpus = os.environ.get("RAY_GRAFT_CPUS")
         ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "8")),
+                 num_cpus=int(cpus) if cpus else min(8, os.cpu_count() or 1),
                  include_dashboard=False)
     from ray.data import DataContext
 
@@ -60,7 +61,7 @@ def main() -> int:
             docs, lexicon_ref=lex_ref, side_tables_ref=st_ref, corpus="cw"
         )
         groups.write_parquet(tmp_out)
-        return {"rows_out": groups.count()}
+        return {}  # run_shard counts rows_out from the parquet footers
 
     manifests = run_sharded(
         shard_inputs(docs_dir, n_shards),

@@ -120,3 +120,19 @@ def test_atomic_commit_no_partial_dir(tmp_path, inputs):
                   flaky)
     # the final dir never appeared (only the .tmp staging dir may exist)
     assert not os.path.exists(os.path.join(out_root, "shard=000"))
+
+
+def test_rows_out_read_from_parquet_footers(tmp_path, inputs):
+    """A compute that only writes (returns no metrics) still gets
+    ``rows_out``: run_shard counts the rows of the files it wrote."""
+    def write_only(paths, tmp_out):
+        t = pq.read_table(paths[0])
+        pq.write_table(t.slice(0, 4), os.path.join(tmp_out, "a.parquet"))
+        pq.write_table(t.slice(4), os.path.join(tmp_out, "b.parquet"))
+        return {}
+
+    m = run_shard("000", inputs["000"], str(tmp_path / "shard=000"),
+                  write_only)
+    assert m["metrics"] == {"rows_out": 10}
+    with open(tmp_path / "shard=000" / MANIFEST, encoding="utf-8") as f:
+        assert json.load(f)["metrics"]["rows_out"] == 10

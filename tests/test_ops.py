@@ -180,6 +180,26 @@ def test_delta_dedup_precomputed_store_fps(ray_session, tmp_path):
         read_store_fingerprints(fps_path, k=3, w=2)
 
 
+def test_winnow_params_guard_on_file_uri(ray_session, tmp_path):
+    """The (k, w) sidecar guard holds for a URI store, not only a bare
+    local path: written at file://... with k=3, read back with k=4."""
+    import ray
+
+    from openie_backend_ray.ops.dedup import (
+        materialize_store_fingerprints,
+        read_store_fingerprints,
+    )
+
+    store = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                      "text": pa.array(["p q r s t u v w x y",
+                                        "m n o zz yy xx ww vv"])})
+    uri = f"file://{tmp_path}/store_fps"
+    materialize_store_fingerprints(ray.data.from_arrow(store), uri, k=3)
+    assert read_store_fingerprints(uri, k=3).count() > 0
+    with pytest.raises(ValueError, match="winnowed with"):
+        read_store_fingerprints(uri, k=4)
+
+
 def test_quality_gate_agrees_with_components():
     from openie_backend_ray.ops.textstats import (
         lang_id_batch,
@@ -531,12 +551,13 @@ def _bfs_components(edges: list[tuple[int, int]]) -> dict[int, int]:
     return out
 
 
-def test_connected_components_matches_bfs(ray_session):
+def test_connected_components_matches_bfs(ray_session, monkeypatch):
     """Chains, a clique, a 2-cycle of pairs, singleton edge, disjoint
     islands — including a long path (the chain-pair bucket shape) that
     defeats naive min-label propagation round counts."""
     import ray
 
+    from openie_backend_ray.ops import partition
     from openie_backend_ray.ops.components import connected_components
 
     edges = (
@@ -554,13 +575,15 @@ def test_connected_components_matches_bfs(ray_session):
     )
     # both paths must produce the identical clustering: the bounded
     # union-find fast path and the distributed star rounds (forced by
-    # a zero small-graph cap)
-    for cap in (5_000_000, 0):
+    # a zero small-graph cap, at 1, 8 and 64 exchange partitions)
+    for cap, nparts in ((5_000_000, 1), (0, 1), (0, 8), (0, 64)):
+        monkeypatch.setattr(partition, "partition_count",
+                            lambda n=nparts: n)
         got_rows = connected_components(
-            ds, npartitions=4, small_graph_max_edges=cap
+            ds, small_graph_max_edges=cap
         ).take_all()
         got = {r["doc_id"]: r["component"] for r in got_rows}
-        assert got == want, f"cap={cap}"
+        assert got == want, f"cap={cap} P={nparts}"
         assert len(got_rows) == len(got)  # no duplicate doc_id rows
 
 
