@@ -2,9 +2,10 @@
 
 ``entry()`` runs the flagship KG-construction pipeline at sf0.001;
 ``queries()`` exposes one callable per implemented operator from
-SURVEY.md §2 plus the training-data operators (dedup / similarity /
-text-analysis / multimodal); ``oracle_sql()`` gives each
-SQL-expressible query its DuckDB twin over the same parquet views.
+SURVEY.md §2 plus the content-dedup (exact / winnowing / delta /
+simhash), input-sampling, training-data curation and multimodal-span
+operators; ``oracle_sql()`` gives each SQL-expressible query its DuckDB
+twin over the same parquet views.
 
 Ray is initialised by the driver BEFORE this module is imported: no
 ``ray.init()`` / ``ray.shutdown()`` here or in the library code.
@@ -13,9 +14,7 @@ Parity notes (why values hash-match across engines):
 - every cross-engine hash uses md5 (python hashlib == DuckDB md5());
 - ratios are single int/int float64 divisions (bit-identical IEEE),
   never round()ed (numpy half-even vs DuckDB half-up differ);
-- typer weight sums are int64 micros (distributed-sum exact);
-- cosine scores are round(x, 6) on BOTH sides (the only tolerated FP
-  fuzz: summation order differs between numpy matmul and DuckDB).
+- typer weight sums are int64 micros (distributed-sum exact).
 """
 
 from __future__ import annotations
@@ -25,21 +24,16 @@ from typing import Any
 
 SF_SMOKE = "/root/testdata/sf0.001"
 
-# keep in sync with openie_backend_ray.ops.textstats.STOPWORDS
-_STOP_SQL = (
-    "['the','a','an','of','in','on','and','or','to','is','are','was',"
-    "'for','with','by','at','as','that','this','it','be']"
-)
-
 
 def _read(sf_dir: str, table: str, columns=None):
     """Column-pruned parquet read, plus a SMALL-INPUT SPLIT: the sf
     test tables are single-row-group files, which Ray cannot split at
     read time — the fused read->map stage runs as ONE task and every
-    per-doc op (minhash, winnowing, simhash) serializes.  When the
-    file's row-group count is below the CPU count (a driver-side O(1)
-    metadata check), repartition to ~2 blocks/CPU (measured 4.8x on
-    minhash at sf0.1).  At production scale the input is thousands of
+    per-doc op (winnowing, simhash) serializes.  When the file's
+    row-group count is below the CPU count (a driver-side O(1)
+    metadata check), repartition to ~2 blocks/CPU (measured 4.8x at
+    sf0.1 on the MinHash entry this split was tuned on, since
+    deleted).  At production scale the input is thousands of
     files/row groups, the condition is false, and NO repartition
     happens — an unconditional repartition would be an all-to-all
     exchange of the whole corpus."""
@@ -140,10 +134,9 @@ def entry() -> Any:
 # ---------------------------------------------------------------------------
 
 def queries() -> dict[str, Callable[[str], Any]]:
+    from openie_backend_ray.ops import curation as CU
     from openie_backend_ray.ops import dedup as D
     from openie_backend_ray.ops import multimodal as MM
-    from openie_backend_ray.ops import similarity as SIM
-    from openie_backend_ray.ops import textstats as TS
     from openie_backend_ray.stages.sentences import explode_text_spans
 
     def q_explode_text_spans(sf_dir: str):
@@ -156,56 +149,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
             MM.explode_media_spans, batch_format="pyarrow"
         )
 
-    def q_token_stats(sf_dir: str):
-        return TS.token_stats(_read(sf_dir, "documents", ["doc_id", "text"]))
-
-    def q_quality_score(sf_dir: str):
-        return TS.quality_score(_read(sf_dir, "documents", ["doc_id", "text"]))
-
-    def q_lang_id(sf_dir: str):
-        return TS.lang_id(_read(sf_dir, "documents", ["doc_id", "text"]))
-
-    def q_fingerprint(sf_dir: str):
-        return TS.fingerprint(_read(sf_dir, "documents", ["doc_id", "text"]))
-
-    def q_vocab_stats(sf_dir: str):
-        return TS.vocab_stats(_read(sf_dir, "documents", ["doc_id", "text"]))
-
-    def q_repetition_stats(sf_dir: str):
-        return TS.repetition_stats(
-            _read(sf_dir, "documents", ["doc_id", "text"])
-        )
-
-    def q_bpe_token_stats(sf_dir: str):
-        return TS.bpe_token_stats(
-            _read(sf_dir, "documents", ["doc_id", "text"])
-        )
-
-    def q_quality_gate(sf_dir: str):
-        return TS.quality_gate(
-            _read(sf_dir, "documents", ["doc_id", "text"]), lang="en"
-        )
-
     def q_dedup_exact(sf_dir: str):
         return D.exact_dedup(_read(sf_dir, "documents", ["doc_id", "text"]))
 
-    def q_span_dedup(sf_dir: str):
-        """C4-style sub-document span dedup: 10-token windows, first
-        occurrence wins, documents reassemble from surviving spans."""
-        return D.span_dedup(
-            _read(sf_dir, "documents", ["doc_id", "text"]), span_tokens=10
-        )
-
-    def q_dedup_minhash_pairs(sf_dir: str):
-        return D.minhash_pairs(_read(sf_dir, "documents", ["doc_id", "text"]))
-
     def q_winnow_fingerprints(sf_dir: str):
         return D.winnow_fingerprints(
-            _read(sf_dir, "documents", ["doc_id", "text"])
-        )
-
-    def q_winnow_pairs(sf_dir: str):
-        return D.winnow_pairs(
             _read(sf_dir, "documents", ["doc_id", "text"])
         )
 
@@ -227,72 +175,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
             docs.map_batches(split(False), batch_format="pyarrow"),
         )
 
-    def q_ngram_jaccard(sf_dir: str):
-        ds = _read(sf_dir, "documents", ["doc_id", "text"])
-        return D.ngram_jaccard_pairs(ds, threshold=0.5)
-
-    def q_clean_corpus(sf_dir: str):
-        from openie_backend_ray.ops.clean_corpus import clean_corpus
-
-        return clean_corpus(_read(sf_dir, "documents", ["doc_id", "text"]))
-
-    def q_fuzzy_components(sf_dir: str):
-        from openie_backend_ray.ops.components import connected_components
-
-        ds = _read(sf_dir, "documents", ["doc_id", "text"])
-        return connected_components(D.ngram_jaccard_pairs(ds, threshold=0.5))
-
     def q_simhash(sf_dir: str):
         return D.simhash(_read(sf_dir, "documents", ["doc_id", "text"]))
 
-    def q_simhash_pairs(sf_dir: str):
-        return D.simhash_pairs(
-            _read(sf_dir, "documents", ["doc_id", "text"]), max_hamming=3
-        )
-
-    def q_embedding_pairs(sf_dir: str):
-        import ray
-        import pyarrow.parquet as pq
-
-        emb = pq.read_table(f"{sf_dir}/embeddings.parquet")
-        mat_ref = ray.put(D.normalized_matrix(emb))
-        return D.embedding_pairs(
-            _read(sf_dir, "embeddings"), mat_ref, threshold=0.35
-        )
-
-    def q_embedding_pairs_ivf(sf_dir: str):
-        import ray
-        import pyarrow.parquet as pq
-
-        emb = pq.read_table(f"{sf_dir}/embeddings.parquet")
-        c_ref = ray.put(SIM.centroid_matrix(emb))  # ceil(sqrt(n)) sampled
-        return SIM.embedding_pairs_ivf(
-            _read(sf_dir, "embeddings"), c_ref, threshold=0.35
-        )
-
-    def q_ann_topk(sf_dir: str):
-        import ray
-        import pyarrow.parquet as pq
-
-        emb = pq.read_table(f"{sf_dir}/embeddings.parquet")
-        q_ref = ray.put(SIM.query_matrix(emb, 10))
-        return SIM.ann_topk(_read(sf_dir, "embeddings"), q_ref, k=10)
-
-    def q_ann_ivf(sf_dir: str):
-        import ray
-        import pyarrow.parquet as pq
-
-        emb = pq.read_table(f"{sf_dir}/embeddings.parquet")
-        q_ref = ray.put(SIM.query_matrix(emb, 10))
-        c_ref = ray.put(SIM.centroid_matrix(emb))  # ceil(sqrt(n)) sampled
-        return SIM.ann_ivf(
-            _read(sf_dir, "embeddings"), q_ref, c_ref, k=10, nprobe=4
-        )
-
     def q_hash_sample(sf_dir: str):
-        from openie_backend_ray.ops import curation as CU
+        from openie_backend_ray.sources.sampler import hash_sample
 
-        return CU.hash_sample(
+        return hash_sample(
             _read(sf_dir, "documents", ["doc_id", "text"]), key="doc_id"
         )
 
@@ -304,8 +193,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         10-99 tokens."""
         import ray
         import pyarrow as pa
-        from openie_backend_ray.ops import curation as CU
-
         docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
         def split(keep_eval: bool):
@@ -328,8 +215,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         is the same synthesize-from-the-table idiom as media_spans, and
         the oracle derives the identical strings in SQL)."""
         import pyarrow as pa
-        from openie_backend_ray.ops import curation as CU
-
         def enrich(b):
             ids = b["doc_id"].to_numpy(zero_copy_only=False)
             out = []
@@ -356,8 +241,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
     def q_stratified_sample(sf_dir: str):
-        from openie_backend_ray.ops import curation as CU
-
         return CU.stratified_sample(
             _read(sf_dir, "documents", ["doc_id", "lang"]),
             by="lang", target=50,
@@ -367,31 +250,23 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Multilingual sqrt-flattening: lang is the skewed column in
         the sf data (en ~2.7x de), so the downsampling path actually
         executes; source is uniform by construction."""
-        from openie_backend_ray.ops import curation as CU
-
         return CU.mixture_resample(
             _read(sf_dir, "documents", ["doc_id", "lang"]),
             by="lang",
         )
 
     def q_dup_ngram_coverage(sf_dir: str):
-        from openie_backend_ray.ops import curation as CU
-
         return CU.dup_ngram_coverage(
             _read(sf_dir, "documents", ["doc_id", "text"]), k=5
         )
 
     def q_pack_sequences(sf_dir: str):
-        from openie_backend_ray.ops import curation as CU
-
         return CU.pack_sequences(
             _read(sf_dir, "documents", ["doc_id", "text"]),
             budget=2048, bucket_range=256,
         )
 
     def q_source_mix(sf_dir: str):
-        from openie_backend_ray.ops import curation as CU
-
         return CU.source_mix(
             _read(sf_dir, "documents", ["doc_id", "text", "source"])
         )
@@ -659,13 +534,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
             batch_format="pyarrow",
         )
 
-    # REGISTRATION ORDER IS A CONTRACT: the driver's correctness check
-    # covers only the FIRST 50 entries, so the KG core (the operators
-    # the reference exists for) registers first.  Every entry stays
-    # runnable locally via ``scripts/check_oracles.py`` and the pytest
-    # oracle sweep, the tail included.
+    # The driver's correctness check covers only the FIRST 50 entries;
+    # there are fewer than that, so every entry is checked.  The KG
+    # core (the operators the reference exists for) registers first.
     return {
-        # -- KG core (SURVEY §2 G/M/S operators) — always in-window --
+        # -- KG core (SURVEY §2 G/M/S operators) ----------------------
         "group_extractions": q_group_extractions,
         "group_extractions_salted": q_group_extractions_salted,
         "canonicalize": q_canonicalize,
@@ -682,21 +555,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "head_phrases": q_head_phrases,
         "answer_projections": q_answer_projections,
         "flagship_triples": _flagship_triples,
-        # -- dedup / similarity family -------------------------------
+        # -- content dedup / sampling / sources / multimodal --------
         "dedup_exact": q_dedup_exact,
-        "span_dedup": q_span_dedup,
-        "dedup_minhash_pairs": q_dedup_minhash_pairs,
         "winnow_fingerprints": q_winnow_fingerprints,
-        "winnow_pairs": q_winnow_pairs,
         "delta_dedup": q_delta_dedup,
-        "ngram_jaccard": q_ngram_jaccard,
-        "clean_corpus": q_clean_corpus,
-        "fuzzy_components": q_fuzzy_components,
-        "simhash_pairs": q_simhash_pairs,
-        "embedding_pairs": q_embedding_pairs,
-        "embedding_pairs_ivf": q_embedding_pairs_ivf,
-        "ann_topk": q_ann_topk,
-        "ann_ivf": q_ann_ivf,
+        "hash_sample": q_hash_sample,
         # -- curation family ------------------------------------------
         "decontaminate": q_decontaminate,
         "pii_redact": q_pii_redact,
@@ -705,23 +568,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "source_mix": q_source_mix,
         "dup_ngram_coverage": q_dup_ngram_coverage,
         "mixture_resample": q_mixture_resample,
-        "quality_gate": q_quality_gate,
-        "hash_sample": q_hash_sample,
-        # -- sources / multimodal --------------------------------------
         "explode_text_spans": q_explode_text_spans,
         "media_features": q_media_features,
         "media_frames": q_media_frames,
         "media_spans": q_media_spans,
-        # -- textstats ------------------------------------------------
-        "token_stats": q_token_stats,
-        "quality_score": q_quality_score,
-        "lang_id": q_lang_id,
-        "fingerprint": q_fingerprint,
-        "vocab_stats": q_vocab_stats,
-        "repetition_stats": q_repetition_stats,
-        "bpe_token_stats": q_bpe_token_stats,
-        # ---- position 51: outside the driver window.  Its oracle is
-        # the only exact check of dedup.simhash_batch values. ----
         "simhash": q_simhash,
     }
 
@@ -730,26 +580,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
 # oracles
 # ---------------------------------------------------------------------------
 
-_TOKS = r"regexp_split_to_array(text, '\s+')"
-
-# dedup-family token source: the shingle separator chr(30) is stripped
-# BEFORE tokenizing (mirrors ops.dedup._dedup_tokens — \x1e is not
-# regex whitespace, so without the strip it would survive inside a
-# token and fragment the packed shingle string)
+# winnowing token source: chr(30) is stripped BEFORE tokenizing
+# (mirrors ops.dedup._dedup_tokens — \x1e is not regex whitespace, so
+# without the strip it would survive inside a token)
 _DTOKS = r"regexp_split_to_array(replace(text, chr(30), ''), '\s+')"
-
-# doc -> distinct 3-token shingles (k matches ops.dedup.SHINGLE_K)
-_SHINGLES_CTE = f"""
-t AS (SELECT doc_id, {_DTOKS} AS toks FROM documents),
-sh AS (
-  SELECT doc_id,
-         CASE WHEN len(toks) < 3 THEN [array_to_string(toks, ' ')]
-              ELSE list_distinct(list_transform(
-                     range(1, len(toks) - 1),
-                     i -> array_to_string(toks[i:i+2], ' ')))
-         END AS shingles
-  FROM t)
-"""
 
 # winnowing twin (ops.dedup.winnow_fingerprints_batch): k-gram md5s,
 # distinct window-of-w minimums; short docs hash the whole text
@@ -772,62 +606,6 @@ sel AS (
          END AS fps
   FROM h)
 """
-
-# shingles -> 12-perm minhash signature -> 4 LSH band buckets -> pairs.
-# One md5 per shingle; permutations are universal hashes over its
-# 52-bit prefix (ops.dedup._signature): h = int(md5[:13], 16) exactly
-# reconstructed from hex digits ((strpos-1) * 16^(13-i)
-# products and their sum stay < 2^53, exact in the double intermediate),
-# then min((A*p+1)*h + (B*p+7)) mod (2^61 - 1) in HUGEINT arithmetic;
-# CAST(HUGEINT AS VARCHAR) == Python str(int) for the bucket concat.
-_MINHASH_CTE = _SHINGLES_CTE + """,
-shr AS (SELECT doc_id, unnest(shingles) AS s FROM sh),
-shi AS (
-  SELECT doc_id,
-         CAST((SELECT sum(
-                 (strpos('0123456789abcdef',
-                         substr(md5(shr.s), i.i, 1)) - 1)
-                 * power(16.0, 13 - i.i))
-               FROM (SELECT unnest(range(1, 14)) AS i) i)
-              AS HUGEINT) AS h
-  FROM shr),
-sigp AS (
-  SELECT doc_id, p.p AS p,
-         min((CAST(2654435761 * p.p + 1 AS HUGEINT) * h
-              + CAST(40503 * p.p + 7 AS HUGEINT))
-             % CAST(2305843009213693951 AS HUGEINT)) AS v
-  FROM shi CROSS JOIN (SELECT unnest(range(0, 12)) AS p) p
-  GROUP BY doc_id, p.p),
-sig AS (
-  SELECT doc_id, list(CAST(v AS VARCHAR) ORDER BY p) AS sig
-  FROM sigp GROUP BY doc_id),
-bands AS (
-  SELECT doc_id, b.b AS band,
-         md5(sig[b.b*3+1] || '|' || sig[b.b*3+2] || '|' || sig[b.b*3+3])
-           AS bucket
-  FROM sig CROSS JOIN (SELECT unnest(range(0, 4)) AS b) b),
-cand AS (
-  -- chain + star pairs (ops.dedup._chain_star_pairs): each bucket
-  -- member pairs with its sorted-by-id predecessor (chain: linear,
-  -- run-connected) AND with the bucket's min-id anchor (star:
-  -- anchor-adjacent recall); union deduped
-  SELECT DISTINCT doc_a, doc_b FROM (
-    SELECT prev AS doc_a, doc_id AS doc_b
-    FROM (SELECT doc_id,
-                 lag(doc_id) OVER (PARTITION BY band, bucket
-                                   ORDER BY doc_id) AS prev
-          FROM bands)
-    WHERE prev IS NOT NULL
-    UNION ALL
-    SELECT anchor AS doc_a, doc_id AS doc_b
-    FROM (SELECT doc_id,
-                 first_value(doc_id) OVER (PARTITION BY band, bucket
-                                           ORDER BY doc_id) AS anchor
-          FROM bands)
-    WHERE anchor <> doc_id))
-"""
-
-_EMB_D = "list_transform(embedding, x -> CAST(x AS DOUBLE))"
 
 # 64-bit SimHash in SQL: md5 bytes -> +-1 bits weighted by token
 # multiplicity -> sign -> nibble hex (matches ops.dedup.simhash_batch
@@ -880,197 +658,9 @@ def oracle_sql() -> Mapping[str, str]:
                    'media://image/' || CAST(doc_id AS VARCHAR) AS media_ref
             FROM documents WHERE doc_id % 3 = 0
         """,
-        "token_stats": f"""
-            WITH t AS (SELECT doc_id, {_TOKS} AS toks FROM documents)
-            SELECT doc_id,
-                   CAST(len(toks) AS BIGINT) AS n_tokens,
-                   CAST(len(list_distinct(toks)) AS BIGINT) AS n_types,
-                   CAST(len(list_filter(toks,
-                          x -> list_contains({_STOP_SQL}, x))) AS DOUBLE)
-                     / len(toks) AS stopword_ratio
-            FROM t
-        """,
-        "quality_score": f"""
-            WITH t AS (SELECT doc_id, text, {_TOKS} AS toks FROM documents),
-            s AS (
-              SELECT doc_id,
-                     CAST(len(toks) AS BIGINT) AS n_tokens,
-                     CAST(length(text) - (len(toks) - 1) AS DOUBLE)
-                       / len(toks) AS mean_token_len,
-                     CAST(len(list_filter(toks,
-                            x -> list_contains({_STOP_SQL}, x))) AS DOUBLE)
-                       / len(toks) AS stopword_ratio
-              FROM t)
-            SELECT doc_id, n_tokens, mean_token_len, stopword_ratio,
-                   (n_tokens >= 10 AND n_tokens <= 10000
-                    AND stopword_ratio <= 0.5) AS keep
-            FROM s
-        """,
-        "fingerprint": f"""
-            WITH t AS (SELECT doc_id, {_TOKS} AS toks FROM documents)
-            SELECT doc_id,
-                   CASE WHEN len(toks) < 5
-                        THEN md5(array_to_string(toks, ' '))
-                        ELSE list_min(list_transform(
-                               range(1, len(toks) - 3),
-                               i -> md5(array_to_string(toks[i:i+4], ' '))))
-                   END AS fingerprint
-            FROM t
-        """,
-        "vocab_stats": f"""
-            WITH tok AS (
-              SELECT unnest(regexp_split_to_array(text, '\\s+')) AS token
-              FROM documents)
-            SELECT count(*) AS n_tokens,
-                   count(DISTINCT token) AS n_distinct
-            FROM tok
-        """,
-        # Gopher-style repetition signals (Rae et al. 2021 §A1.1):
-        # top-bigram occupancy + duplicated-trigram occurrence fraction
-        "repetition_stats": f"""
-            WITH t AS (SELECT doc_id, {_TOKS} AS toks FROM documents),
-            bgs AS (
-              SELECT doc_id,
-                     unnest(list_transform(range(1, len(toks)),
-                       i -> toks[i] || ' ' || toks[i+1])) AS g
-              FROM t),
-            bcnt AS (SELECT doc_id, g, count(*) AS c
-                     FROM bgs GROUP BY doc_id, g),
-            btop AS (SELECT doc_id,
-                            CAST(max(c) AS DOUBLE) / sum(c) AS f
-                     FROM bcnt GROUP BY doc_id),
-            tgs AS (
-              SELECT doc_id,
-                     unnest(list_transform(range(1, len(toks) - 1),
-                       i -> toks[i] || ' ' || toks[i+1]
-                            || ' ' || toks[i+2])) AS g
-              FROM t),
-            tcnt AS (SELECT doc_id, g, count(*) AS c
-                     FROM tgs GROUP BY doc_id, g),
-            tdup AS (SELECT doc_id,
-                            CAST(sum(CASE WHEN c >= 2 THEN c ELSE 0 END)
-                                 AS DOUBLE) / sum(c) AS f
-                     FROM tcnt GROUP BY doc_id)
-            SELECT t.doc_id,
-                   COALESCE(b.f, 0.0) AS top_bigram_frac,
-                   COALESCE(d.f, 0.0) AS dup_trigram_frac,
-                   (COALESCE(b.f, 0.0) > 0.2
-                    OR COALESCE(d.f, 0.0) > 0.3) AS repetitive
-            FROM t
-            LEFT JOIN btop b USING (doc_id)
-            LEFT JOIN tdup d USING (doc_id)
-        """,
-        # composed cleaning gate: quality + repetition + lang twins
-        # AND-ed exactly as ops.textstats.quality_gate_batch composes
-        # the three batch kernels
-        "quality_gate": f"""
-            WITH t AS (SELECT doc_id, text, {_TOKS} AS toks
-                       FROM documents),
-            q AS (
-              SELECT doc_id,
-                     (len(toks) >= 10 AND len(toks) <= 10000
-                      AND CAST(len(list_filter(toks,
-                            x -> list_contains({_STOP_SQL}, x))) AS DOUBLE)
-                          / len(toks) <= 0.5) AS quality_ok
-              FROM t),
-            bgs AS (
-              SELECT doc_id,
-                     unnest(list_transform(range(1, len(toks)),
-                       i -> toks[i] || ' ' || toks[i+1])) AS g
-              FROM t),
-            bcnt AS (SELECT doc_id, g, count(*) AS c
-                     FROM bgs GROUP BY doc_id, g),
-            btop AS (SELECT doc_id,
-                            CAST(max(c) AS DOUBLE) / sum(c) AS f
-                     FROM bcnt GROUP BY doc_id),
-            tgs AS (
-              SELECT doc_id,
-                     unnest(list_transform(range(1, len(toks) - 1),
-                       i -> toks[i] || ' ' || toks[i+1]
-                            || ' ' || toks[i+2])) AS g
-              FROM t),
-            tcnt AS (SELECT doc_id, g, count(*) AS c
-                     FROM tgs GROUP BY doc_id, g),
-            tdup AS (SELECT doc_id,
-                            CAST(sum(CASE WHEN c >= 2 THEN c ELSE 0 END)
-                                 AS DOUBLE) / sum(c) AS f
-                     FROM tcnt GROUP BY doc_id),
-            rep AS (
-              SELECT t.doc_id,
-                     (COALESCE(b.f, 0.0) > 0.2
-                      OR COALESCE(d.f, 0.0) > 0.3) AS repetitive
-              FROM t LEFT JOIN btop b USING (doc_id)
-              LEFT JOIN tdup d USING (doc_id)),
-            tok AS (SELECT doc_id, unnest(toks) AS token FROM t),
-            markers(lang, token) AS (VALUES {_lang_marker_values()}),
-            sc AS (SELECT tok.doc_id, m.lang, count(*) AS c
-                   FROM tok JOIN markers m ON m.token = tok.token
-                   GROUP BY tok.doc_id, m.lang),
-            best AS (SELECT doc_id, lang,
-                            row_number() OVER (PARTITION BY doc_id
-                              ORDER BY c DESC, lang) AS rn
-                     FROM sc),
-            lng AS (
-              SELECT t.doc_id,
-                     (COALESCE(b.lang, 'und') = 'en') AS lang_ok
-              FROM t LEFT JOIN best b
-                ON b.doc_id = t.doc_id AND b.rn = 1)
-            SELECT t.doc_id, q.quality_ok, rep.repetitive, lng.lang_ok,
-                   (q.quality_ok AND NOT rep.repetitive
-                    AND lng.lang_ok) AS keep
-            FROM t
-            JOIN q USING (doc_id)
-            JOIN rep USING (doc_id)
-            JOIN lng USING (doc_id)
-        """,
-        # BPE pre-tokenizer twin: same RE2 pattern, apostrophes doubled
-        # for the SQL literal (see ops.textstats.BPE_PRETOKEN_RE)
-        "bpe_token_stats": r"""
-            WITH t AS (
-              SELECT doc_id,
-                     CAST(len(regexp_split_to_array(text, '\s+'))
-                          AS BIGINT) AS n_words,
-                     CAST(len(regexp_extract_all(text,
-                       '''s|''t|''re|''ve|''m|''ll|''d| ?[\p{L}]+| ?[\p{N}]+| ?[^\s\p{L}\p{N}]+|\s+'
-                     )) AS BIGINT) AS n_bpe_pieces
-              FROM documents)
-            SELECT doc_id, n_words, n_bpe_pieces,
-                   CAST(n_bpe_pieces AS DOUBLE) / CAST(n_words AS DOUBLE)
-                     AS pieces_per_word
-            FROM t
-        """,
         "dedup_exact": """
             SELECT min(doc_id) AS doc_id, md5(text) AS text_md5
             FROM documents GROUP BY md5(text)
-        """,
-        "span_dedup": """
-            WITH toks AS (
-              SELECT doc_id, regexp_split_to_array(text, '\\s+') AS t
-              FROM documents),
-            src AS (
-              SELECT doc_id, t,
-                     greatest(1, CAST(ceil(len(t) / 10.0) AS BIGINT))
-                       AS n_spans
-              FROM toks),
-            spans AS (
-              SELECT doc_id, i AS span_idx, n_spans,
-                     array_to_string(list_slice(t, i*10 + 1, i*10 + 10),
-                                     ' ') AS span
-              FROM src, UNNEST(range(n_spans)) AS u(i)),
-            ranked AS (
-              SELECT *, row_number() OVER (
-                  PARTITION BY md5(span) ORDER BY doc_id, span_idx) AS rn
-              FROM spans)
-            SELECT doc_id,
-                   string_agg(span, ' ' ORDER BY span_idx) AS text,
-                   any_value(n_spans) AS n_spans,
-                   count(*) AS n_kept
-            FROM ranked WHERE rn = 1
-            GROUP BY doc_id
-        """,
-        "dedup_minhash_pairs": f"""
-            WITH {_MINHASH_CTE}
-            SELECT doc_a, doc_b FROM cand
         """,
         # winnowing (k=3 grams, w=4 windows): selecting window-min by
         # VALUE makes the fingerprint set tie-rule-free, so list_min
@@ -1078,26 +668,6 @@ def oracle_sql() -> Mapping[str, str]:
         "winnow_fingerprints": f"""
             WITH {_WINNOW_CTE}
             SELECT doc_id, unnest(fps) AS fp FROM sel
-        """,
-        "winnow_pairs": f"""
-            WITH {_WINNOW_CTE},
-            e AS (SELECT doc_id, unnest(fps) AS fp FROM sel),
-            cand AS (
-              SELECT DISTINCT doc_a, doc_b FROM (
-                SELECT prev AS doc_a, doc_id AS doc_b
-                FROM (SELECT doc_id,
-                             lag(doc_id) OVER (PARTITION BY fp
-                                               ORDER BY doc_id) AS prev
-                      FROM e)
-                WHERE prev IS NOT NULL
-                UNION ALL
-                SELECT anchor AS doc_a, doc_id AS doc_b
-                FROM (SELECT doc_id,
-                             first_value(doc_id) OVER (
-                               PARTITION BY fp ORDER BY doc_id) AS anchor
-                      FROM e)
-                WHERE anchor <> doc_id))
-            SELECT doc_a, doc_b FROM cand
         """,
         # delta-vs-store content dedup: per delta doc, how many of its
         # winnowed fingerprints exist anywhere in the store split
@@ -1109,158 +679,6 @@ def oracle_sql() -> Mapping[str, str]:
             SELECT dl.doc_id, CAST(count(*) AS BIGINT) AS n_shared
             FROM dl JOIN st USING (fp)
             GROUP BY dl.doc_id
-        """,
-        "ngram_jaccard": f"""
-            WITH {_MINHASH_CTE}
-            SELECT c.doc_a, c.doc_b,
-                   CAST(len(list_intersect(sa.shingles, sb.shingles))
-                        AS DOUBLE)
-                     / len(list_distinct(sa.shingles || sb.shingles))
-                     AS jaccard
-            FROM cand c
-            JOIN sh sa ON sa.doc_id = c.doc_a
-            JOIN sh sb ON sb.doc_id = c.doc_b
-            WHERE CAST(len(list_intersect(sa.shingles, sb.shingles))
-                       AS DOUBLE)
-                    / len(list_distinct(sa.shingles || sb.shingles)) >= 0.5
-        """,
-        "clean_corpus": f"""
-            WITH {_MINHASH_CTE},
-            jac AS (
-              SELECT c.doc_a, c.doc_b
-              FROM cand c
-              JOIN sh sa ON sa.doc_id = c.doc_a
-              JOIN sh sb ON sb.doc_id = c.doc_b
-              WHERE CAST(len(list_intersect(sa.shingles, sb.shingles))
-                         AS DOUBLE)
-                      / len(list_distinct(sa.shingles || sb.shingles))
-                      >= 0.5),
-            exact_keep AS (
-              SELECT min(doc_id) AS doc_id FROM documents
-              GROUP BY md5(text)),
-            near_losers AS (SELECT DISTINCT doc_b AS doc_id FROM jac),
-            stats AS (
-              -- quality gate tokenizes RAW text (textstats semantics),
-              -- unlike the chr(30)-stripped dedup tokens in t
-              SELECT doc_id,
-                     CAST(len({_TOKS}) AS BIGINT) AS n_tokens,
-                     CAST(len(list_filter({_TOKS},
-                            x -> list_contains({_STOP_SQL}, x)))
-                          AS DOUBLE) / len({_TOKS}) AS stopword_ratio
-              FROM documents)
-            SELECT s.doc_id, s.n_tokens
-            FROM stats s
-            JOIN exact_keep k ON k.doc_id = s.doc_id
-            WHERE s.doc_id NOT IN (SELECT doc_id FROM near_losers)
-              AND s.n_tokens >= 10 AND s.n_tokens <= 10000
-              AND s.stopword_ratio <= 0.5
-        """,
-        # connected components of the Jaccard-verified pair graph:
-        # component = min reachable doc_id (recursive transitive
-        # closure; the Ray side runs the large-star/small-star
-        # algorithm, ops/components.py)
-        "fuzzy_components": f"""
-            WITH RECURSIVE {_MINHASH_CTE},
-            jac AS (
-              SELECT c.doc_a, c.doc_b
-              FROM cand c
-              JOIN sh sa ON sa.doc_id = c.doc_a
-              JOIN sh sb ON sb.doc_id = c.doc_b
-              WHERE CAST(len(list_intersect(sa.shingles, sb.shingles))
-                         AS DOUBLE)
-                      / len(list_distinct(sa.shingles || sb.shingles))
-                      >= 0.5),
-            sym AS (SELECT doc_a AS u, doc_b AS v FROM jac
-                    UNION SELECT doc_b, doc_a FROM jac),
-            reach AS (SELECT u, v FROM sym
-                      UNION
-                      SELECT r.u, s.v FROM reach r
-                      JOIN sym s ON r.v = s.u)
-            SELECT u AS doc_id, least(u, min(v)) AS component
-            FROM reach GROUP BY u
-        """,
-        "embedding_pairs": f"""
-            WITH v AS (SELECT vec_id, {_EMB_D} AS e FROM embeddings)
-            SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
-                   round(list_cosine_similarity(a.e, b.e), 6) AS cosine
-            FROM v a JOIN v b ON a.vec_id < b.vec_id
-            WHERE round(list_cosine_similarity(a.e, b.e), 6) >= 0.35
-        """,
-        "embedding_pairs_ivf": f"""
-            WITH v AS (SELECT vec_id, {_EMB_D} AS e FROM embeddings),
-            -- ceil(sqrt(n)) centroids sampled by md5(vec_id) order
-            -- (ops.similarity.centroid_matrix)
-            c AS (SELECT vec_id AS cid, e AS ce FROM v
-                  QUALIFY row_number() OVER (
-                      ORDER BY md5(CAST(vec_id AS VARCHAR)), vec_id)
-                    <= CAST(ceil(sqrt((SELECT count(*) FROM v)))
-                            AS BIGINT)),
-            assign AS (
-              SELECT vec_id, e, cid AS bucket FROM (
-                SELECT v.vec_id, v.e, c.cid,
-                       row_number() OVER (PARTITION BY v.vec_id
-                         ORDER BY round(list_cosine_similarity(v.e, c.ce),
-                                        6) DESC, c.cid) AS rn
-                FROM v CROSS JOIN c) WHERE rn = 1)
-            SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
-                   round(list_cosine_similarity(a.e, b.e), 6) AS cosine
-            FROM assign a JOIN assign b
-              ON a.bucket = b.bucket AND a.vec_id < b.vec_id
-            WHERE round(list_cosine_similarity(a.e, b.e), 6) >= 0.35
-        """,
-        "ann_topk": f"""
-            WITH v AS (SELECT vec_id, {_EMB_D} AS e FROM embeddings),
-            q AS (SELECT vec_id AS qvec_id, e AS qe FROM v
-                  WHERE vec_id < 10),
-            s AS (SELECT q.qvec_id, v.vec_id,
-                         round(list_cosine_similarity(q.qe, v.e), 6)
-                           AS score
-                  FROM q CROSS JOIN v WHERE v.vec_id != q.qvec_id)
-            SELECT qvec_id, vec_id,
-                   CAST(row_number() OVER (
-                     PARTITION BY qvec_id ORDER BY score DESC, vec_id)
-                     AS INTEGER) AS rank,
-                   score
-            FROM s
-            QUALIFY rank <= 10
-        """,
-        "ann_ivf": f"""
-            WITH v AS (SELECT vec_id, {_EMB_D} AS e FROM embeddings),
-            -- same sampled-sqrt(n) quantizer as embedding_pairs_ivf
-            c AS (SELECT vec_id AS cid, e AS ce FROM v
-                  QUALIFY row_number() OVER (
-                      ORDER BY md5(CAST(vec_id AS VARCHAR)), vec_id)
-                    <= CAST(ceil(sqrt((SELECT count(*) FROM v)))
-                            AS BIGINT)),
-            q AS (SELECT vec_id AS qvec_id, e AS qe FROM v
-                  WHERE vec_id < 10),
-            assign AS (
-              SELECT vec_id, e, cid AS bucket FROM (
-                SELECT v.vec_id, v.e, c.cid,
-                       row_number() OVER (PARTITION BY v.vec_id
-                         ORDER BY round(list_cosine_similarity(v.e, c.ce),
-                                        6) DESC, c.cid) AS rn
-                FROM v CROSS JOIN c) WHERE rn = 1),
-            probes AS (
-              SELECT qvec_id, cid FROM (
-                SELECT q.qvec_id, c.cid,
-                       row_number() OVER (PARTITION BY q.qvec_id
-                         ORDER BY round(list_cosine_similarity(q.qe, c.ce),
-                                        6) DESC, c.cid) AS rn
-                FROM q CROSS JOIN c) WHERE rn <= 4),
-            s AS (
-              SELECT q.qvec_id, a.vec_id,
-                     round(list_cosine_similarity(q.qe, a.e), 6) AS score
-              FROM q JOIN probes p ON p.qvec_id = q.qvec_id
-                     JOIN assign a ON a.bucket = p.cid
-              WHERE a.vec_id != q.qvec_id)
-            SELECT qvec_id, vec_id,
-                   CAST(row_number() OVER (
-                     PARTITION BY qvec_id ORDER BY score DESC, vec_id)
-                     AS INTEGER) AS rank,
-                   score
-            FROM s
-            QUALIFY rank <= 10
         """,
         "hash_sample": """
             SELECT doc_id, text FROM documents
@@ -1457,53 +875,6 @@ def oracle_sql() -> Mapping[str, str]:
             WITH {_SIMHASH_CTE}
             SELECT doc_id, simhash FROM sh64
         """,
-        "simhash_pairs": f"""
-            WITH {_SIMHASH_CTE},
-            blocks AS (
-              SELECT s.doc_id, s.v, b.blk,
-                     substr(s.simhash, b.blk*4+1, 4) AS bval
-              FROM sh64 s CROSS JOIN
-                   (SELECT unnest(range(0, 4)) AS blk) b),
-            cand AS (
-              -- chain + star pairs within each (block, value) bucket
-              SELECT DISTINCT doc_a, doc_b FROM (
-                SELECT prev AS doc_a, doc_id AS doc_b
-                FROM (SELECT doc_id,
-                             lag(doc_id) OVER (PARTITION BY blk, bval
-                                               ORDER BY doc_id) AS prev
-                      FROM blocks)
-                WHERE prev IS NOT NULL
-                UNION ALL
-                SELECT anchor AS doc_a, doc_id AS doc_b
-                FROM (SELECT doc_id,
-                             first_value(doc_id) OVER (
-                               PARTITION BY blk, bval
-                               ORDER BY doc_id) AS anchor
-                      FROM blocks)
-                WHERE anchor <> doc_id))
-            SELECT c.doc_a, c.doc_b
-            FROM cand c
-            JOIN sh64 va ON va.doc_id = c.doc_a
-            JOIN sh64 vb ON vb.doc_id = c.doc_b
-            WHERE bit_count(xor(va.v, vb.v)) <= 3
-        """,
-        "lang_id": f"""
-            WITH tok AS (
-              SELECT doc_id,
-                     unnest(regexp_split_to_array(text, '\\s+')) AS token
-              FROM documents),
-            markers(lang, token) AS (VALUES {_lang_marker_values()}),
-            sc AS (SELECT t.doc_id, m.lang, count(*) AS c
-                   FROM tok t JOIN markers m ON m.token = t.token
-                   GROUP BY t.doc_id, m.lang),
-            best AS (SELECT doc_id, lang,
-                            row_number() OVER (PARTITION BY doc_id
-                              ORDER BY c DESC, lang) AS rn
-                     FROM sc)
-            SELECT d.doc_id, coalesce(b.lang, 'und') AS lang_pred
-            FROM documents d
-            LEFT JOIN best b ON b.doc_id = d.doc_id AND b.rn = 1
-        """,
         # flagship_triples / openie4_triples: deliberately omitted (the
         # extraction pipelines themselves are not SQL-expressible;
         # their correctness gates are the pytest P/R fixtures) ->
@@ -1513,13 +884,3 @@ def oracle_sql() -> Mapping[str, str]:
         # fixture; those views are written on the first read of a KG
         # entry, so the oracles above never read the reference.
     })
-
-
-def _lang_marker_values() -> str:
-    from openie_backend_ray.ops.textstats import _LANG_MARKERS
-
-    return ", ".join(
-        f"('{lang}', '{tok}')"
-        for lang in sorted(_LANG_MARKERS)
-        for tok in sorted(_LANG_MARKERS[lang])
-    )

@@ -179,17 +179,11 @@ def run_query_bench(sf_dir: str) -> dict:
 
     qs = E.queries()
     names = [
-        "dedup_exact", "span_dedup", "dedup_minhash_pairs", "ngram_jaccard",
-        "winnow_fingerprints", "winnow_pairs", "delta_dedup",
-        "simhash_pairs", "embedding_pairs", "embedding_pairs_ivf",
-        "ann_topk", "ann_ivf",
-        "token_stats", "quality_score", "lang_id", "fingerprint",
-        "repetition_stats", "bpe_token_stats", "quality_gate",
+        "dedup_exact", "winnow_fingerprints", "delta_dedup",
         "decontaminate", "pii_redact", "stratified_sample",
         "pack_sequences", "source_mix", "dup_ngram_coverage", "mixture_resample",
         "media_features", "extreme_filter",
-        "regroup", "type_predictions", "clean_corpus",
-        "fuzzy_components",
+        "regroup", "type_predictions",
         "openie4_triples", "group_extractions",
         # KG-core post-group family (round 4: driver-visible walls for
         # the operators the reference exists for)

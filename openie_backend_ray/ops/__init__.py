@@ -1,4 +1,6 @@
-"""Large-scale training-data operators (dedup, similarity search, text
-analysis, curation/packing/mixture, multimodal plumbing) over the flat ``documents`` /
-``embeddings`` tables — first-class components of the engine alongside
-the KG-construction pipeline (SURVEY.md §2)."""
+"""Operators over the flat ``documents`` table that sit beside the
+KG-construction stages: the hash exchange every wide KG step goes
+through (``partition``), winnowed-fingerprint delta dedup plus exact
+dedup and SimHash (``dedup``; the incremental ingest path runs the
+delta dedup), training-data curation (``curation``), and the media side
+of the interleaved input (``multimodal``)."""

@@ -1,6 +1,6 @@
 """Training-data curation operators: benchmark decontamination, PII
-redaction, and hash and stratified sampling over the flat ``documents``
-table.
+redaction, stratified and mixture sampling, duplicate-gram coverage,
+sequence packing and source shares over the flat ``documents`` table.
 
 These are the "beyond the reference" curation stages a 100-TB
 training-data pipeline needs (GPT-3 appendix C's 13-gram overlap
@@ -14,9 +14,6 @@ Each follows the repo's scale rules:
 - redaction is pure vectorized RE2 (``pc.replace_substring_regex`` /
   ``pc.count_substring_regex``); pyarrow and DuckDB both embed RE2, so
   the DuckDB oracle matches byte-for-byte, not just approximately;
-- hash sampling is one stateless filter per batch: md5(key) below a
-  hex threshold, the seedless, engine-reproducible form of the
-  reference's Bernoulli ``FileSampler`` (M14);
 - stratified sampling is a local top-k: per-batch per-bucket partial
   top-k, then one small per-bucket reduce — the shuffle moves at most
   ``target x buckets x blocks`` rows, never the corpus.
@@ -189,26 +186,6 @@ def pii_redact_batch(batch: pa.Table) -> pa.Table:
 
 def pii_redact(ds):
     return ds.map_batches(pii_redact_batch, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# M14: deterministic hash sample (the reference's Bernoulli FileSampler)
-# ---------------------------------------------------------------------------
-
-def hash_sample(ds, key: str = "doc_id", fraction_hex: str = "4"):
-    """Bernoulli-style sample keeping rows whose md5(key) starts below
-    ``fraction_hex`` (e.g. '4' keeps ~25%). Deterministic and identical
-    in SQL: md5(cast(key as varchar)) < '4'. Replaces the reference's
-    ``Random.nextDouble < f`` (``FileSampler.scala:52-54``)."""
-    def body(batch: pa.Table) -> pa.Table:
-        vals = batch[key].to_pylist()
-        mask = [
-            hashlib.md5(str(v).encode()).hexdigest() < fraction_hex
-            for v in vals
-        ]
-        return batch.filter(pa.array(mask, pa.bool_()))
-
-    return ds.map_batches(body, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

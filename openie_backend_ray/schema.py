@@ -33,21 +33,6 @@ DOCUMENTS = pa.schema(
 )
 
 # ---------------------------------------------------------------------------
-# sentences: chunker output (ref ScoobiSentenceChunker.scala:35-41 TSV)
-# ---------------------------------------------------------------------------
-
-SENTENCES = pa.schema(
-    [
-        ("doc_id", pa.string()),
-        ("span_idx", pa.int32()),
-        ("source_url", pa.string()),
-        ("tokens", pa.list_(pa.string())),
-        ("postags", pa.list_(pa.string())),
-        ("chunks", pa.list_(pa.string())),
-    ]
-)
-
-# ---------------------------------------------------------------------------
 # extractions: ReVerb output (ref ReVerbExtraction TSV, 7 cols,
 # models/.../ReVerbExtraction.scala:137-147). Intervals are half-open.
 # ---------------------------------------------------------------------------
@@ -122,13 +107,3 @@ GROUPS = pa.schema(
         ("corpora", pa.list_(pa.string())),
     ]
 )
-
-# final materialized triples table (S4): one row per group, sorted by key,
-# instances retained as provenance (ReVerbDocumentConverter.scala:22-88 field
-# inventory defines what the table must contain).
-TRIPLES = GROUPS
-
-
-def empty_table(schema: pa.Schema) -> pa.Table:
-    """An empty Arrow table with the given schema (stable-schema results)."""
-    return schema.empty_table()

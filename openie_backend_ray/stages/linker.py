@@ -36,7 +36,6 @@ Semantics mirrored:
 from __future__ import annotations
 
 import math
-import os
 import pickle
 import re
 from collections import Counter
@@ -52,12 +51,8 @@ from openie_backend_ray.functions.lnrm import lnrm
 # sentences; we cap to bound worst-case per-group work for degenerate
 # 40k-instance head groups (multi-MB context strings otherwise).
 # Fixture groups are far smaller, so golden links are unchanged
-# (tests/test_linker_regression.py gates that).  Configurable per
-# corpus via OPENIE_LINKER_CONTEXT_MAX (0 = uncapped reference
-# semantics).
-CONTEXT_MAX_SENTENCES = int(
-    os.environ.get("OPENIE_LINKER_CONTEXT_MAX", "64") or "64"
-)
+# (tests/test_linker_regression.py gates that).
+CONTEXT_MAX_SENTENCES = 64
 
 CPROB_CUTOFF = 0.5
 COUNT_CUTOFF = 500
@@ -463,7 +458,7 @@ class LinkerActor:
             # re-sorting, so position != confidence there.  Bounds the
             # per-row string/Counter build for degenerate 40k-instance
             # head groups (multi-MB context strings otherwise).
-            if 0 < CONTEXT_MAX_SENTENCES < len(insts):
+            if len(insts) > CONTEXT_MAX_SENTENCES:
                 import heapq
 
                 ctx_insts = heapq.nlargest(

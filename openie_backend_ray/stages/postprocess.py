@@ -80,56 +80,6 @@ def dedup_instances(insts: list[dict]) -> list[dict]:
     return kept
 
 
-# legacy demo dedup (InstanceDeduplicator.oldDeduplicate, :93-138):
-# exact-sentence set + a fragment hash — drop an instance when any
-# punctuation-split fragment of its sentence was already seen; only
-# fragments at least as long as the full extraction string (+4 chars)
-# enter the hash.  The delimiter char class ports the CODE (:18) —
-# the reference's comment claims ')', '<' and '>' but the pattern has
-# none of them — and, faithful to the reference, a DROPPED instance
-# still contributes its new long fragments to the hash.
-_LEGACY_SPLIT = re.compile(r"[,./?:;\[\]{}|\\!@#$%^&*(\-_+=]")
-
-
-def dedup_instances_legacy(
-    insts: list[dict], arg1_norm: str, rel_norm: str, arg2_norm: str
-) -> list[dict]:
-    """Port of ``InstanceDeduplicator.oldDeduplicate``.  The reference
-    sorts only by confidence desc over a Set's nondeterministic
-    iteration order; this port adds the engine's canonical full
-    tiebreak so reruns and partition layouts agree."""
-    if len(insts) <= 1:
-        return insts
-    extr_len = len(arg1_norm) + len(rel_norm) + len(arg2_norm) + 4
-    ordered = sorted(
-        insts,
-        key=lambda i: (
-            -i["confidence"], " ".join(i["tokens"]),
-            i["arg1"]["start"], i["rel"]["start"], i["arg2"]["start"],
-            i["arg1"]["end"], i["rel"]["end"], i["arg2"]["end"],
-            i["corpus"], i["source_url"],
-        ),
-    )
-    fragments: set[str] = set()
-    sentences: set[str] = set()
-    kept = []
-    for inst in ordered:
-        sentence = " ".join(inst["tokens"]).lower()
-        if sentence in sentences:
-            continue
-        sentences.add(sentence)
-        keep = True
-        for frag in _LEGACY_SPLIT.split(sentence):
-            frag = frag.strip()
-            if frag in fragments:
-                keep = False
-            elif len(frag) >= extr_len:
-                fragments.add(frag)
-        if keep:
-            kept.append(inst)
-    return kept
-
-
 # ---------------------------------------------------------------------------
 # M7: control-char cleaning (ScoobiGroupReGrouper.scala:114-125)
 # ---------------------------------------------------------------------------
@@ -270,21 +220,6 @@ def dedup_groups_batch(batch: pa.Table) -> pa.Table:
         return S.GROUPS.empty_table()
     inst_lists = batch["instances"].to_pylist()
     new = [dedup_instances(x) for x in inst_lists]
-    return _rebuild(batch, new, [True] * len(new))
-
-
-def dedup_groups_legacy_batch(batch: pa.Table) -> pa.Table:
-    """Legacy fragment-hash dedup over a batch of GROUPS rows."""
-    if batch.num_rows == 0:
-        return S.GROUPS.empty_table()
-    inst_lists = batch["instances"].to_pylist()
-    a1 = batch["arg1_norm"].to_pylist()
-    rl = batch["rel_norm"].to_pylist()
-    a2 = batch["arg2_norm"].to_pylist()
-    new = [
-        dedup_instances_legacy(x, a1[i], rl[i], a2[i])
-        for i, x in enumerate(inst_lists)
-    ]
     return _rebuild(batch, new, [True] * len(new))
 
 

@@ -16,7 +16,7 @@ import duckdb
 import pandas as pd
 
 
-TABLES = ("documents", "embeddings")
+TABLES = ("documents",)
 
 
 def to_pandas(res):

@@ -286,7 +286,7 @@ def test_source_mix_shares(ray_session):
 @pytest.mark.parametrize(
     "name", ["decontaminate", "pii_redact", "stratified_sample",
              "pack_sequences", "source_mix", "dup_ngram_coverage",
-             "mixture_resample", "quality_gate"]
+             "mixture_resample"]
 )
 def test_curation_oracle_parity(ray_session, name):
     import sys

@@ -12,8 +12,6 @@ from openie_backend_ray.stages.postprocess import (
 )
 from openie_backend_ray.state import checkpoint
 
-from conftest import requires_reference
-
 
 def _inst(sentence: str, a1, r, a2, conf=0.9, corpus="cw"):
     toks = sentence.split(" ")
@@ -102,76 +100,3 @@ def test_checkpoint_resume(tmp_path):
     r3 = checkpoint.run_sharded(shards, out_root, compute)
     assert len(calls) == 4
     assert all(not m["skipped"] for m in r3)
-
-def test_legacy_dedup_fragment_hash():
-    """InstanceDeduplicator.oldDeduplicate port (:93-138): exact
-    lowercased-sentence dedup, fragment-hash drop for sentences sharing
-    a long punctuation-split fragment, and the reference's quirk that a
-    DROPPED instance still registers its own new long fragments."""
-    from openie_backend_ray.stages.postprocess import (
-        dedup_instances_legacy,
-    )
-
-    def inst(sent, conf, url="u"):
-        toks = sent.split(" ")
-        return {
-            "tokens": toks,
-            "postags": ["NN"] * len(toks),
-            "chunks": ["B-NP"] * len(toks),
-            "arg1": {"start": 0, "end": 1},
-            "rel": {"start": 1, "end": 2},
-            "arg2": {"start": 2, "end": 3},
-            "source_url": url, "corpus": "cw", "confidence": conf,
-        }
-
-    # extr_len = len("obama")+len("visit")+len("paris")+4 = 19
-    a1, rl, a2 = "obama", "visit", "paris"
-
-    # 1. exact duplicate sentence (case-insensitive) -> dropped
-    insts = [inst("Obama visited Paris today", 0.9),
-             inst("obama visited paris today", 0.8)]
-    out = dedup_instances_legacy(insts, a1, rl, a2)
-    assert len(out) == 1 and out[0]["confidence"] == 0.9
-
-    # 2. shared long fragment across different sentences -> second drops
-    shared = "obama visited paris on a rainy tuesday afternoon"  # 48 >= 19
-    insts = [inst(shared + " , says one report", 0.9),
-             inst(shared + " , claims another observer", 0.8)]
-    out = dedup_instances_legacy(insts, a1, rl, a2)
-    assert len(out) == 1 and out[0]["confidence"] == 0.9
-
-    # 3. short shared fragments never enter the hash -> both kept
-    insts = [inst("obama in paris , first visit", 0.9),
-             inst("obama in paris , second visit", 0.8)]
-    out = dedup_instances_legacy(insts, a1, rl, a2)
-    assert len(out) == 2
-
-    # 4. reference quirk: a dropped instance still adds ITS new long
-    # fragments, so a later instance sharing only the dropped one's
-    # fragment also drops
-    frag_b = "a second long fragment that is certainly long enough"
-    insts = [
-        inst(shared + " , x unique tail one", 0.9),
-        inst(shared + " / " + frag_b, 0.8),       # drops (shares `shared`)
-        inst(frag_b + " , x unique tail two", 0.7),  # drops via frag_b
-    ]
-    out = dedup_instances_legacy(insts, a1, rl, a2)
-    assert len(out) == 1 and out[0]["confidence"] == 0.9
-
-    # 5. singleton group untouched
-    one = [inst("whatever sentence", 0.5)]
-    assert dedup_instances_legacy(one, a1, rl, a2) == one
-
-
-@requires_reference
-def test_legacy_dedup_batch_shapes():
-    from openie_backend_ray.fixtures.corpus import build_groups_table
-    from openie_backend_ray.stages.postprocess import (
-        dedup_groups_legacy_batch,
-    )
-
-    g = build_groups_table()
-    out = dedup_groups_legacy_batch(g)
-    assert out.num_rows == g.num_rows  # groups survive; instances may shrink
-    assert sum(out["size"].to_pylist()) <= sum(g["size"].to_pylist())
-    assert all(s >= 1 for s in out["size"].to_pylist())
