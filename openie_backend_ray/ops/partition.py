@@ -3,10 +3,11 @@
 A keyed wide step is one MapReduce shape: hash the rows on a key, then
 reduce each key whole.  ``exchange(ds, key, fn)`` is that shape,
 written once.  Rows hash on ``key`` (one column or several) into P
-partitions, Ray's ``groupby`` on the partition id moves them, and
-``fn`` runs once per PARTITION on a table that holds every row of each
-of its keys.  One Python call per partition, not one Ray group slice
-and one tiny output table per key: per-key ``map_groups`` on the G1
+partitions, a Ray sort on the partition id with the P-1 boundaries
+1..P-1 moves them into one block per partition, and ``fn`` runs once
+per PARTITION on a table that holds every row of each of its keys.
+One Python call per partition, not one Ray group slice and one tiny
+output table per key: per-key ``map_groups`` on the G1
 reduce was the dominant cost at 13k keys, and at 10^9 distinct args
 (UnlinkableEntityTyper scale) it is the known cliff.
 
@@ -14,8 +15,13 @@ P is 4 x the cluster's CPUs, read once on the driver when the plan is
 built and captured in the map closure, so every map task of one
 exchange agrees.  Results are independent of P (every row of a key
 lands in one partition, and the per-key logic inside is exact); P sets
-only the reduce-task granularity.  Ray's ``map_groups`` sorts on the
-partition id, so at most P reduce groups hold data.
+only the reduce-task granularity.  The boundaries are explicit: a
+sort that samples them makes one output per INPUT block, so with more
+input blocks than partition ids the extra outputs are empty, and Ray
+passes an empty block through the next map without calling it, with
+no schema (Ray's "RefBundle with a different schema" warning, and a
+missing column for code that reads every block).  With explicit
+boundaries only a partition that receives no rows is empty.
 
 ``partition_map_groups`` is the per-key adapter: a drop-in for
 ``ds.groupby(key).map_groups(fn)`` that sorts each partition once and
@@ -66,9 +72,9 @@ def exchange(ds, key: str | Sequence[str],
 
     return (
         ds.map_batches(tag, batch_format="pyarrow")
-        .groupby(_PART)
-        .map_groups(lambda g: fn(g.drop_columns([_PART])),
-                    batch_format="pyarrow")
+        .sort(_PART, boundaries=list(range(1, int(n))))
+        .map_batches(lambda g: fn(g.drop_columns([_PART])),
+                     batch_format="pyarrow", batch_size=None)
     )
 
 

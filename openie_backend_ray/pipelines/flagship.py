@@ -13,13 +13,16 @@ the line input with ``source_url = ""``.
     read documents or lines (Parquet/Lance)
       -> unique_sentences       (map-side (text, url) counts, then a
                                  hash exchange on text)
-      -> ExtractCombineActor    (chunk + ReVerb + key + confidence,
-                                 once per unique text; G1 map-side
-                                 combine)
+      -> extract_combine tasks  (chunk + ReVerb + key + confidence,
+                                 once per unique text, models resident
+                                 per worker; G1 map-side combine)
       -> merge_blob_shuffle     (G1 reduce, caps)
-      -> LinkerActor pool       (with side tables; else finalize_groups)
-      -> instance dedup         (per group, G3)
+      -> LinkerActor pool       (with side tables; else finalize_groups;
+                                 either one applies the per-group G3
+                                 instance dedup as it converts blobs)
       -> materialize_triples    (sorted Parquet)
+
+The link pool is the only actor pool.
 
 Filters (M7-M9, ``postprocess.filter_groups_batch``) and
 canonicalization (G4, ``canonicalize``) are separate jobs, like the
@@ -35,7 +38,6 @@ import ray.data
 from openie_backend_ray.stages.extract_pipeline import extract_and_combine
 from openie_backend_ray.stages.grouper import merge_blob_shuffle
 from openie_backend_ray.stages.linker import link_or_finalize
-from openie_backend_ray.stages.postprocess import dedup_groups_batch
 
 
 def run_flagship(
@@ -50,16 +52,16 @@ def run_flagship(
 
     Defaults mirror the reference fixture provenance (test-groups.txt is
     grouper+linker output, pre-filter). Without ``side_tables_ref`` the
-    groups are left unlinked."""
-    groups = link_or_finalize(
+    groups are left unlinked. ``dedup`` (G3) runs inside the G1 tail
+    and gives the rows ``postprocess.dedup_groups_batch`` would give
+    afterwards."""
+    return link_or_finalize(
         merge_blob_shuffle(
             extract_and_combine(ds, lexicon_ref=lexicon_ref, corpus=corpus)
         ),
         side_tables_ref,
+        dedup=dedup,
     )
-    if dedup:
-        groups = groups.map_batches(dedup_groups_batch, batch_format="pyarrow")
-    return groups
 
 
 # kept for perfbench/ imports

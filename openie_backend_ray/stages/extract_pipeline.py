@@ -1,38 +1,51 @@
 """Fused map front-end: documents or ``[sentence, url]`` lines ->
 combined partial groups, through one unique-sentence exchange and ONE
-actor-pool stage (layers -> extract -> key -> combine).
+task-based map stage (layers -> extract -> key -> combine).
 
 Both extractors use it. ``ExtractCombineActor`` runs ReVerb;
 ``openie4.OpenIE4ExtractCombineActor`` subclasses it and overrides only
 ``_extract_text`` (Relnoun + SRL triples), so both share the layer
-lookup, the template+fill loop and the combiner (``grouper.combine_rows``).
+lookup, the template+fill loop, the combiner (``grouper.combine_rows``)
+and ``extract_and_combine``.
 
 Why fused: as four separate Dataset operators, the streaming executor's
 resource allocator split the cluster across every operator and the
 CPU-heavy extract+combine stage ran with ~25% of the cluster (measured
-41s wall for 78 CPU-seconds of work on 8 CPUs). One actor-pool stage
-owns the pool it is given, and the per-batch combiner still sees a whole
-batch's extractions. The reference fuses exactly the same way
-when it chains grouper work into one job
+41s wall for 78 CPU-seconds of work on 8 CPUs). One stage keeps the
+per-batch combiner over a whole batch's extractions. The reference
+fuses exactly the same way when it chains grouper work into one job
 (``hadoop/.../ScoobiReVerbGrouperLinker.scala:20-33``).
 
+Why tasks, not an actor pool: the reference loads its chunker and
+extractor once per JVM (``ScoobiSentenceChunker.scala:19``,
+``ScoobiReVerb.scala:31``, lazy vals). An actor pool starts new worker
+processes for every Dataset, and each one imported Ray and loaded the
+models before its first batch. Ray reuses task workers across
+Datasets, and each worker keeps its extractor in a one-entry
+per-process memo (``_resident_extractor``), so the models load once
+per worker per session. The compiled model files
+(``functions/postagger.py``) keep that resident state small. Measured
+on perfbench's web_unique (4,000 sentences, Ray at 2 CPUs), a whole
+flagship iteration fell from 2.4 to 1.5 machine CPU s per 1k
+sentences.
+
 Why extraction runs once per TEXT: web corpora are duplication-heavy
-(the very reason the dedup ops family exists — the sf bench corpus is
-571,880 sentences over 8,535 uniques, 67x). A sentence's layers AND its
-extractions are a pure function of its text (lexicon + model state are
-fixed per actor). The unique-sentence exchange collapses repeats to one
-weighted row per (text, url), and sorts a text's URL variants next to
-each other, so the actor extracts once per run of equal texts and each
-further (text, url) row costs one dict copy per instance. Instances are
-built directly in Python, with no Arrow round-trip: building a
-tokens/postags/chunks list-table only to ``to_pylist`` it straight back
-cost ~1s per 9k-sentence block (profiled at sf0.1).
+(the sf bench corpus is 571,880 sentences over 8,535 uniques, 67x). A
+sentence's layers AND its extractions are a pure function of its text
+(lexicon + model state are fixed per worker). The unique-sentence
+exchange collapses repeats to one weighted row per (text, url), and
+sorts a text's URL variants next to each other, so the extractor runs
+once per run of equal texts and each further (text, url) row costs one
+dict copy per instance. Instances are built directly in Python, with
+no Arrow round-trip: building a tokens/postags/chunks list-table only
+to ``to_pylist`` it straight back cost ~1s per 9k-sentence block
+(profiled at sf0.1).
 
 One front-end serves both inputs. The reference reads ``[sentence,
 url]`` lines (``ScoobiReVerb.scala:62-107``); the interleaved documents
 table is that input with ``url = ""``. ``unique_sentences`` turns either
-into ``(text, source_url, n)`` rows, and the actor fills each row's URL
-onto a copy of the text's instance templates. Instance identity
+into ``(text, source_url, n)`` rows, and the extractor fills each row's
+URL onto a copy of the text's instance templates. Instance identity
 excludes the URL (the G1 oracle's dedup signature,
 ``grouper._inst_sig``), so same-sentence instances under several URLs
 collapse to one, which keeps the smallest URL.
@@ -52,8 +65,9 @@ from openie_backend_ray.stages.sentences import explode_text_spans
 
 class ExtractCombineActor(ChunkerActor):
     """``unique_sentences`` batch -> BLOB_GROUPS partial rows
-    (M1+M2+M5+M6+G1 map side). Lexicon/model state loads once per
-    actor (A1/A2)."""
+    (M1+M2+M5+M6+G1 map side). One instance stays resident per task
+    worker (``_resident_extractor``), holding the lexicon and the
+    process's models (A1/A2)."""
 
     def __init__(self, lexicon_ref=None, lexicon=None,
                  corpus: str = "corpus"):
@@ -192,21 +206,42 @@ def unique_sentences(ds):
     )
 
 
-def extract_and_combine(ds, lexicon_ref=None, corpus: str = "corpus"):
+# (key, extractor) resident in this worker process
+_RESIDENT: tuple = (None, None)
+
+
+def _resident_extractor(extractor: type, lexicon_ref, corpus: str):
+    """This process's ``extractor(lexicon_ref=, corpus=)``: built on
+    first use and kept while the (class, lexicon, corpus) key stays
+    the same. The models come from ``default_tagger()`` /
+    ``default_chunker()``, which load once per process as well."""
+    global _RESIDENT
+    key = (extractor, lexicon_ref, corpus)
+    if _RESIDENT[0] != key:
+        _RESIDENT = (None, None)  # drop the old lexicon before loading
+        _RESIDENT = (key, extractor(lexicon_ref=lexicon_ref, corpus=corpus))
+    return _RESIDENT[1]
+
+
+def extract_combine(batch: pa.Table, extractor: type, lexicon_ref,
+                    corpus: str) -> pa.Table:
+    """One task's batch through this worker's resident extractor."""
+    return _resident_extractor(extractor, lexicon_ref, corpus)(batch)
+
+
+def extract_and_combine(ds, lexicon_ref=None, corpus: str = "corpus",
+                        extractor: type = ExtractCombineActor):
     """documents or ``[sentence, url]`` lines -> partial blob-group
     rows, ready for the G1 shuffle: the unique-sentence exchange, then
-    the fused extract actor pool. Output is identical to the unfused
+    ``extractor`` (ReVerb's ``ExtractCombineActor`` or OpenIE4's
+    subclass) in Ray tasks. Output is identical to the unfused
     chunk -> extract_batch -> group path on the same input."""
-    from openie_backend_ray.util import actor_cpus, auto_pool
-
     return unique_sentences(ds).map_batches(
-        ExtractCombineActor,
-        fn_constructor_kwargs={"lexicon_ref": lexicon_ref,
-                               "corpus": corpus},
+        extract_combine,
+        fn_kwargs={"extractor": extractor, "lexicon_ref": lexicon_ref,
+                   "corpus": corpus},
         batch_format="pyarrow",
-        batch_size=512,  # spread unique texts across the pool
-        concurrency=auto_pool(0.7),
-        num_cpus=actor_cpus(),
+        batch_size=512,  # spread unique texts across the tasks
     )
 
 

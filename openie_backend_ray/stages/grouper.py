@@ -28,7 +28,8 @@ blobs: the per-group merge is then list-concat + cap (no per-group
 Arrow nested-struct casting, which profiling showed dominates wall
 time). One conversion, ``groups_table``, turns unpickled blobs into
 the Arrow ``GROUPS`` schema once per batch, for the unlinked tail
-(``finalize_groups``) and the linker alike.
+(``finalize_groups``) and the linker alike, and applies the G3
+instance dedup on the way when asked.
 """
 
 from __future__ import annotations
@@ -257,11 +258,21 @@ def merge_blob_shuffle(partial):
 
 def groups_table(batch: pa.Table, inst_lists: list[list[dict]],
                  arg1_entity: list, arg2_entity: list,
-                 arg1_types: list, arg2_types: list) -> pa.Table:
+                 arg1_types: list, arg2_types: list,
+                 dedup: bool = False) -> pa.Table:
     """Blob group rows -> Arrow GROUPS rows (one nested conversion per
     batch), shared by ``finalize_groups`` and the linker.
     ``inst_lists`` holds each row's unpickled blob (packed instances);
-    the entity/type columns are None/[] for unlinked rows."""
+    the entity/type columns are None/[] for unlinked rows. ``dedup``
+    applies the G3 instance dedup (``postprocess.dedup_instances``) to
+    the unpacked lists, so ``size`` and ``corpora`` count the kept
+    instances: the same rows as ``postprocess.dedup_groups_batch``
+    over this table, without a second pass through Arrow."""
+    insts = [[_inst_unpack(i) for i in x] for x in inst_lists]
+    if dedup:
+        from openie_backend_ray.stages.postprocess import dedup_instances
+
+        insts = [dedup_instances(x) for x in insts]
     return pa.Table.from_pydict(
         {
             "arg1_norm": batch["arg1_norm"].to_pylist(),
@@ -271,20 +282,21 @@ def groups_table(batch: pa.Table, inst_lists: list[list[dict]],
             "arg2_entity": arg2_entity,
             "arg1_types": arg1_types,
             "arg2_types": arg2_types,
-            "instances": [[_inst_unpack(i) for i in x] for x in inst_lists],
-            "size": [len(x) for x in inst_lists],
-            "corpora": [sorted({i["corpus"] for i in x}) for x in inst_lists],
+            "instances": insts,
+            "size": [len(x) for x in insts],
+            "corpora": [sorted({i["corpus"] for i in x}) for x in insts],
         },
         schema=S.GROUPS,
     )
 
 
-def finalize_groups(batch: pa.Table) -> pa.Table:
-    """Blob rows -> unlinked Arrow GROUPS rows."""
+def finalize_groups(batch: pa.Table, dedup: bool = False) -> pa.Table:
+    """Blob rows -> unlinked Arrow GROUPS rows (G3-deduped when
+    ``dedup``)."""
     n = batch.num_rows
     inst_lists = [pickle.loads(b) for b in batch["instances_blob"].to_pylist()]
     return groups_table(batch, inst_lists, [None] * n, [None] * n,
-                        [[]] * n, [[]] * n)
+                        [[]] * n, [[]] * n, dedup=dedup)
 
 
 def group_extractions(keyed_ds, finalize: bool = True):

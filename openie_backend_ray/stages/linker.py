@@ -192,30 +192,26 @@ class SortedArrowMap:
     the Ray analogue of the reference's ``SortedFileMap.java:83-152``:
     the table stays in the shared object store (one physical copy per
     node); only probe RESULTS are materialized, into the caller's
-    bounded cache."""
+    bounded cache.
+
+    The key column is converted to a numpy array once per map, on its
+    first probe (a linker that never probes a table never converts
+    it), and a probe is two ``searchsorted`` calls over it. Arrow
+    sorts strings by their UTF-8 bytes and Python compares them by
+    code point, which is the same order."""
 
     def __init__(self, table: pa.Table, key: str):
         self._t = table
-        col = table.column(key)
-        self._k = (
-            col.combine_chunks() if col.num_chunks != 1 else col.chunk(0)
-        )
-        self._n = table.num_rows
+        self._key = key
+        self._k = None
 
     def range(self, x: str) -> pa.Table:
         """All rows with key == x (original row order); empty on miss."""
-        k, n = self._k, self._n
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if k[mid].as_py() < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        hi = lo
-        while hi < n and k[hi].as_py() == x:
-            hi += 1
-        return self._t.slice(lo, hi - lo)
+        k = self._k
+        if k is None:
+            k = self._k = self._t.column(self._key).to_numpy()
+        lo = int(k.searchsorted(x, side="left"))
+        return self._t.slice(lo, int(k.searchsorted(x, side="right")) - lo)
 
 
 _MISS = object()
@@ -231,7 +227,9 @@ class LinkerActor:
 
     _CACHE_CAP = 65_536
 
-    def __init__(self, tables_ref=None, tables: dict | None = None):
+    def __init__(self, tables_ref=None, tables: dict | None = None,
+                 dedup: bool = False):
+        self._dedup = dedup
         if tables is None and tables_ref is not None:
             import ray
 
@@ -488,20 +486,23 @@ class LinkerActor:
                 ent, ts = self._link(toks, tags, qv, qn)
                 ents.append(ent)
                 typs.append(ts)
+        # context and head come from the pre-dedup instances, as when
+        # G3 ran after the linker
         return groups_table(batch, inst_lists, a1_ents, a2_ents,
-                            a1_types, a2_types)
+                            a1_types, a2_types, dedup=self._dedup)
 
 
-def link_groups(blob_groups_ds, tables_ref):
-    """blob group rows -> linked GROUPS rows (A5). The actor pool is the
-    analogue of the reference's 4-replica scratch-disk linkers with
-    random pick (``ScoobiEntityLinker.scala:127-143``) — Ray schedules
-    the replicas and balances batches for free."""
+def link_groups(blob_groups_ds, tables_ref, dedup: bool = False):
+    """blob group rows -> linked GROUPS rows (A5; G3-deduped when
+    ``dedup``). The actor pool is the analogue of the reference's
+    4-replica scratch-disk linkers with random pick
+    (``ScoobiEntityLinker.scala:127-143``) — Ray schedules the replicas
+    and balances batches for free."""
     from openie_backend_ray.util import actor_cpus, auto_pool
 
     return blob_groups_ds.map_batches(
         LinkerActor,
-        fn_constructor_kwargs={"tables_ref": tables_ref},
+        fn_constructor_kwargs={"tables_ref": tables_ref, "dedup": dedup},
         batch_format="pyarrow",
         batch_size=512,
         concurrency=auto_pool(0.25),
@@ -509,12 +510,14 @@ def link_groups(blob_groups_ds, tables_ref):
     )
 
 
-def link_or_finalize(blob_groups_ds, tables_ref=None):
+def link_or_finalize(blob_groups_ds, tables_ref=None, dedup: bool = False):
     """The tail of every G1 job: blob group rows -> GROUPS rows, linked
-    when side tables are given, else left unlinked."""
+    when side tables are given, else left unlinked; with ``dedup`` the
+    same conversion applies the G3 instance dedup."""
     from openie_backend_ray.stages.grouper import finalize_groups
 
     if tables_ref is not None:
-        return link_groups(blob_groups_ds, tables_ref)
+        return link_groups(blob_groups_ds, tables_ref, dedup=dedup)
     return blob_groups_ds.map_batches(finalize_groups,
+                                      fn_kwargs={"dedup": dedup},
                                       batch_format="pyarrow")

@@ -657,7 +657,7 @@ def split_kinds(oie4_ds, kind: str):
 
 def openie4_triple_key(toks, tags, chks, a1, rl, a2s, rel_text):
     """G1 keying of one OpenIE4 triple, shared by ``openie4_keyed_batch``
-    and the fused actor so the two cannot fork. Intervals are
+    and the fused extractor so the two cannot fork. Intervals are
     ``{"start", "end"}`` dicts; only the first arg2 counts. Arg parts
     key on their token intervals; the rel part keys on the SURFACE rel
     text. For Relnoun's synthesized "is <noun> of" the glue words are
@@ -749,9 +749,9 @@ def openie4_triples(chunked_ds, corpus: str = "corpus",
 
 
 class OpenIE4ExtractCombineActor(ExtractCombineActor):
-    """The flagship's fused actor with OpenIE4 extraction: unique
+    """The flagship's fused extractor with OpenIE4 extraction: unique
     sentences -> layers -> Relnoun/SRL triples -> key -> combine, in ONE
-    actor-pool stage. Only ``_extract_text`` differs from
+    task-based stage. Only ``_extract_text`` differs from
     ``ExtractCombineActor``, so it inherits the template+fill
     ``__call__``: extraction runs once per run of equal texts, each
     row's URL goes onto a copy of the templates, and ``n`` weights the
@@ -793,24 +793,18 @@ def openie4_triples_from_documents(docs_ds, lexicon_ref=None,
                                    corpus: str = "corpus",
                                    side_tables_ref=None):
     """Documents or ``[sentence, url]`` lines -> OpenIE4 triple groups:
-    the unique-sentence exchange, the fused ``OpenIE4ExtractCombineActor``
-    pool, ONE G1 shuffle, then link or finalize. Line input keeps each
-    row's URL on its instances. ``openie4_triples`` remains the
-    chunked-sentence entry for pre-chunked inputs."""
+    ``extract_and_combine`` with ``OpenIE4ExtractCombineActor`` (the
+    unique-sentence exchange and the fused extract tasks), ONE G1
+    shuffle, then link or finalize. Line input keeps each row's URL on
+    its instances. ``openie4_triples`` remains the chunked-sentence
+    entry for pre-chunked inputs."""
     from openie_backend_ray.stages.extract_pipeline import (
-        unique_sentences,
+        extract_and_combine,
     )
     from openie_backend_ray.stages.grouper import merge_blob_shuffle
     from openie_backend_ray.stages.linker import link_or_finalize
-    from openie_backend_ray.util import actor_cpus, auto_pool
 
-    partial = unique_sentences(docs_ds).map_batches(
-        OpenIE4ExtractCombineActor,
-        fn_constructor_kwargs={"lexicon_ref": lexicon_ref,
-                               "corpus": corpus},
-        batch_format="pyarrow",
-        batch_size=512,  # spread unique texts across the pool
-        concurrency=auto_pool(0.7),
-        num_cpus=actor_cpus(),
-    )
+    partial = extract_and_combine(docs_ds, lexicon_ref=lexicon_ref,
+                                  corpus=corpus,
+                                  extractor=OpenIE4ExtractCombineActor)
     return link_or_finalize(merge_blob_shuffle(partial), side_tables_ref)

@@ -11,7 +11,8 @@ def auto_pool(frac: float = 0.5, lo: int = 1, hi: int = 64) -> tuple[int, int]:
     of 4 CPUs or fewer, keeps one full CPU free for shuffle tasks. The
     pool is fixed, not autoscaling: every actor starts at once, and the
     callers budget their fracs so the pools of one pipeline sum below
-    the cluster (flagship: 0.7 extract + 0.25 link). The reference's
+    the cluster (flagship: the 0.25 link pool is its only pool; its
+    extraction runs in tasks). The reference's
     analogue is its mapper cap (20-40 linker mappers cluster-wide,
     ``docs/reverb-cluster-extraction-indexing.txt:145-147``).
     """

@@ -1,7 +1,9 @@
 """Train the vendored averaged-perceptron POS weights from the golden
 tagged fixture sentences (the reference's public test resources) and
 report held-out accuracy plus the delta vs the rule-based heuristic
-tagger.  Regenerates ``functions/data/pos_perceptron.json.gz``.
+tagger.  Regenerates the compiled model files
+``functions/data/pos_perceptron.npz`` and ``chunk_perceptron.npz``
+(``PerceptronTagger.save``: W, feature names, classes, tagdict).
 
 Usage: python scripts/train_pos_tagger.py [--holdout]
   --holdout: train on 80% and report accuracy on the held-out 20%
@@ -68,13 +70,12 @@ def main() -> int:
           f"{heuristic_accuracy(sentences):.4f}")
     t.save()
     from openie_backend_ray.functions.postagger import (
-        _CHUNK_WEIGHTS_GZ,
-        _WEIGHTS_GZ,
+        _CHUNK_WEIGHTS,
+        _WEIGHTS,
         ChunkPerceptron,
     )
 
-    print(f"wrote {_WEIGHTS_GZ} "
-          f"({os.path.getsize(_WEIGHTS_GZ) // 1024} KiB)")
+    print(f"wrote {_WEIGHTS} ({os.path.getsize(_WEIGHTS) // 1024} KiB)")
 
     # chunk layer: (tokens, gold POS, gold chunks) triples, STACKED
     # with predicted-POS copies so the chunker is robust to the POS
@@ -103,8 +104,8 @@ def main() -> int:
         tot += len(gold)
     print(f"train-set chunk accuracy (predicted POS): {ok / tot:.4f}")
     c.save()
-    print(f"wrote {_CHUNK_WEIGHTS_GZ} "
-          f"({os.path.getsize(_CHUNK_WEIGHTS_GZ) // 1024} KiB)")
+    print(f"wrote {_CHUNK_WEIGHTS} "
+          f"({os.path.getsize(_CHUNK_WEIGHTS) // 1024} KiB)")
     return 0
 
 

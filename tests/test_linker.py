@@ -320,3 +320,41 @@ def test_linker_probe_equals_dict_on_large_side_table():
     assert actor._token_fbids("4999") == ["f04999_0", "f04999_1"]
     assert actor._types_of(fbids[3]) == ["/t/x"]
     assert actor._types_of("f-none") == []
+
+
+def test_sorted_map_range_matches_bisection():
+    """``SortedArrowMap.range`` (np.searchsorted over the key column)
+    returns the rows a per-step ``.as_py()`` bisection returns: hits,
+    misses before, between and after the keys, duplicate keys in
+    original row order, and non-ASCII keys (Arrow's byte order is
+    Python's code-point order)."""
+    import pyarrow as pa
+
+    from openie_backend_ray.stages.linker import SortedArrowMap
+
+    keys = ["", "a", "b", "b", "b", "ba", "z", "Ä", "é", "é", "ß",
+            "日本", "日本語", "\U0001f600"]
+    t = pa.table({"k": pa.array(keys, pa.string()),
+                  "row": pa.array(range(len(keys)), pa.int64())})
+    t = t.sort_by([("k", "ascending"), ("row", "ascending")])
+    assert t["k"].to_pylist() == sorted(keys)  # byte order == str order
+    m = SortedArrowMap(t, "k")
+
+    def bisect(x):
+        k, lo, hi = t["k"], 0, t.num_rows
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if k[mid].as_py() < x:
+                lo = mid + 1
+            else:
+                hi = mid
+        end = lo
+        while end < t.num_rows and k[end].as_py() == x:
+            end += 1
+        return t.slice(lo, end - lo)
+
+    for x in set(keys) | {"0", "aa", "bb", "zz", "Å", "日", "￿",
+                          "\U0010ffff"}:
+        assert m.range(x).equals(bisect(x)), x
+    assert m.range("b")["row"].to_pylist() == [2, 3, 4]
+    assert SortedArrowMap(t.slice(0, 0), "k").range("a").num_rows == 0
