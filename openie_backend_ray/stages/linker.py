@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import pickle
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
 import pyarrow as pa
@@ -187,6 +188,30 @@ def prepare_linker_tables(tables: dict) -> dict:
     }
 
 
+class _Utf8Keys:
+    """Read-only sequence over an Arrow string array's values as UTF-8
+    ``bytes``, sliced straight out of its offsets and data buffers, so
+    ``bisect`` can search it without converting the column."""
+
+    __slots__ = ("_off", "_data", "_n")
+
+    def __init__(self, arr: pa.Array):
+        width, code = ((8, "q") if pa.types.is_large_string(arr.type)
+                       else (4, "i"))
+        _validity, offsets, data = arr.buffers()
+        start = arr.offset * width
+        end = start + (len(arr) + 1) * width
+        self._off = memoryview(offsets or b"")[start:end].cast(code)
+        self._data = memoryview(data or b"")
+        self._n = len(arr)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> bytes:
+        return self._data[self._off[i]:self._off[i + 1]].tobytes()
+
+
 class SortedArrowMap:
     """Binary-searched view over a key-sorted single-chunk Arrow table —
     the Ray analogue of the reference's ``SortedFileMap.java:83-152``:
@@ -194,24 +219,24 @@ class SortedArrowMap:
     node); only probe RESULTS are materialized, into the caller's
     bounded cache.
 
-    The key column is converted to a numpy array once per map, on its
-    first probe (a linker that never probes a table never converts
-    it), and a probe is two ``searchsorted`` calls over it. Arrow
-    sorts strings by their UTF-8 bytes and Python compares them by
-    code point, which is the same order."""
+    A probe bisects the key column's own buffers (``_Utf8Keys``):
+    each step copies out one key's bytes, nothing else. Arrow sorts
+    strings by their UTF-8 bytes and Python compares them by code
+    point, which is the same order."""
 
     def __init__(self, table: pa.Table, key: str):
         self._t = table
-        self._key = key
-        self._k = None
+        col = table.column(key)
+        self._k = _Utf8Keys(col.chunk(0) if col.num_chunks == 1
+                            else col.combine_chunks())
 
     def range(self, x: str) -> pa.Table:
         """All rows with key == x (original row order); empty on miss."""
-        k = self._k
-        if k is None:
-            k = self._k = self._t.column(self._key).to_numpy()
-        lo = int(k.searchsorted(x, side="left"))
-        return self._t.slice(lo, int(k.searchsorted(x, side="right")) - lo)
+        k, xb = self._k, x.encode("utf-8", "surrogatepass")
+        lo = bisect_left(k, xb)
+        if lo == len(k) or k[lo] != xb:
+            return self._t.slice(lo, 0)
+        return self._t.slice(lo, bisect_right(k, xb, lo + 1) - lo)
 
 
 _MISS = object()

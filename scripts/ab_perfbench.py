@@ -6,18 +6,19 @@ Usage, from the root of this checkout:
     git archive <parent-rev> | tar -x -C <parent-dir>
     python3 scripts/ab_perfbench.py --parent <parent-dir> \\
         --workload web_unique --seeds 1 2 3 4 5 6 7 8 9 10 \\
-        [--seconds 20] [--out pairs.jsonl]
+        [--out pairs.jsonl]
 
-One pair per seed. The runs go one at a time, never side by side:
-``cpu_s_per_ksent`` and ``setup_s`` read the machine-wide
-``/proc/stat``, so a run beside another one counts the other's CPU
-too. Which side runs first alternates from pair to pair (the parent
-first in even pairs). Each run's result line is appended to ``--out``
-as it comes; at the end, for each metric of the workload, the script
-prints the parent's and this checkout's median and quartiles and the
-number of pairs this checkout won, reading from ``BENCHMARK.json``
-whether lower or higher is better. Nothing else may run on the host
-meanwhile.
+One pair per seed; each run lasts the benchmark's ``run_seconds``
+(``BENCHMARK.json``) on both sides. The runs go one at a time, never
+side by side: ``cpu_s_per_ksent`` and ``setup_s`` read the
+machine-wide ``/proc/stat``, so a run beside another one counts the
+other's CPU too. Which side runs first alternates from pair to pair
+(the parent first in pairs 1, 3, 5, ...). Each run's result line is appended
+to ``--out`` as it comes; at the end, for each metric of the
+workload, the script prints the parent's and this checkout's median
+and quartiles and the number of pairs this checkout won, reading from
+``BENCHMARK.json`` whether lower or higher is better. Nothing else
+may run on the host meanwhile.
 """
 
 from __future__ import annotations
@@ -83,26 +84,23 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True,
                     help="root of the parent checkout")
-    ap.add_argument("--head", default=HERE,
-                    help="root of the changed checkout (default: this one)")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out", default=None,
                     help="append each pair as one JSON line here")
     a = ap.parse_args(argv)
 
-    with open(os.path.join(a.head, "BENCHMARK.json")) as f:
-        better = {m["name"]: m["better"]
-                  for m in json.load(f)["end_to_end"]}
-    roots = {"parent": os.path.abspath(a.parent),
-             "head": os.path.abspath(a.head)}
+    with open(os.path.join(HERE, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    roots = {"parent": os.path.abspath(a.parent), "head": HERE}
     pairs = []
     for i, seed in enumerate(a.seeds):
         order = ("parent", "head") if i % 2 == 0 else ("head", "parent")
         pair = {"workload": a.workload, "seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_one(roots[side], a.workload, seed, a.seconds)
+            pair[side] = run_one(roots[side], a.workload, seed,
+                                 bench["run_seconds"])
         pairs.append(pair)
         if a.out:
             with open(a.out, "a") as f:

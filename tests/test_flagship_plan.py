@@ -124,3 +124,36 @@ def test_flagship_plan_has_one_actor_pool_and_no_dedup_op(ray_session,
     assert extract_combine in fns.values()
     assert dedup_groups_batch not in fns.values()
     assert not any("dedup" in op.name for op in ops)
+
+
+def test_resident_extractor_does_not_pin_the_lexicon(ray_session):
+    """Task workers keep their extractor after the Dataset ends, but
+    not the lexicon's ObjectRef: once the driver drops its ref, no
+    borrower holds the lexicon in the object store."""
+    import gc
+    import time
+
+    import ray
+    import ray.data as rd
+
+    from openie_backend_ray.pipelines.flagship import run_flagship
+    from openie_backend_ray.stages.chunker import model_layers
+
+    texts = _SENTENCES[:4]
+    layers = [model_layers(s) for s in texts]
+    lex_ref = ray.put(pa.table({
+        "sentence": texts,
+        "tokens": [t for t, _, _ in layers],
+        "postags": [p for _, p, _ in layers],
+        "chunks": [c for _, _, c in layers]}))
+    lex_id = lex_ref.hex().encode()
+    counts = ray._private.worker.global_worker.core_worker \
+        .get_all_reference_counts
+    assert run_flagship(rd.from_arrow(_lines()).repartition(3),
+                        lexicon_ref=lex_ref).count() > 0
+    del lex_ref
+    gc.collect()
+    deadline = time.monotonic() + 30
+    while lex_id in counts() and time.monotonic() < deadline:
+        time.sleep(0.2)
+    assert lex_id not in counts()

@@ -323,11 +323,12 @@ def test_linker_probe_equals_dict_on_large_side_table():
 
 
 def test_sorted_map_range_matches_bisection():
-    """``SortedArrowMap.range`` (np.searchsorted over the key column)
-    returns the rows a per-step ``.as_py()`` bisection returns: hits,
-    misses before, between and after the keys, duplicate keys in
-    original row order, and non-ASCII keys (Arrow's byte order is
-    Python's code-point order)."""
+    """``SortedArrowMap.range`` (a bisection over the key column's UTF-8
+    buffers) returns the rows a per-step ``.as_py()`` bisection
+    returns: hits, misses before, between and after the keys,
+    duplicate keys in original row order, and non-ASCII keys (Arrow's
+    byte order is Python's code-point order); also on a sliced table
+    (non-zero array offset) and a ``large_string`` key column."""
     import pyarrow as pa
 
     from openie_backend_ray.stages.linker import SortedArrowMap
@@ -353,8 +354,20 @@ def test_sorted_map_range_matches_bisection():
             end += 1
         return t.slice(lo, end - lo)
 
-    for x in set(keys) | {"0", "aa", "bb", "zz", "Å", "日", "￿",
-                          "\U0010ffff"}:
+    probes = set(keys) | {"0", "aa", "bb", "zz", "Å", "日", "￿",
+                          "\U0010ffff"}
+    for x in probes:
         assert m.range(x).equals(bisect(x)), x
     assert m.range("b")["row"].to_pylist() == [2, 3, 4]
+    cut = t.slice(3, 8)
+    for x in probes:
+        want = [r for k, r in zip(cut["k"].to_pylist(),
+                                  cut["row"].to_pylist()) if k == x]
+        assert SortedArrowMap(cut, "k").range(x)["row"].to_pylist() \
+            == want, x
+    large = t.cast(pa.schema([("k", pa.large_string()),
+                              ("row", pa.int64())]))
+    for x in probes:
+        assert (SortedArrowMap(large, "k").range(x)["row"].to_pylist()
+                == bisect(x)["row"].to_pylist()), x
     assert SortedArrowMap(t.slice(0, 0), "k").range("a").num_rows == 0
