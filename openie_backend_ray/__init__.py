@@ -7,7 +7,8 @@ graph materialization) expressed Ray-Data-first:
 
 - every table is a ``ray.data.Dataset`` of Arrow blocks,
 - per-record transforms are vectorized ``map_batches`` stages,
-- stateful stages (chunker/extractor/linker) are actor pools,
+- stateful stages (extractor, linker) run in Ray tasks over state kept
+  resident in each reused task worker (``util.resident``),
 - the wide steps go through one hash exchange (``ops.partition.exchange``)
   keyed on the normalized (arg1, rel, arg2) triple with explicit skew
   caps/salting,

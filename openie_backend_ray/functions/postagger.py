@@ -11,16 +11,21 @@ resources) by ``scripts/train_pos_tagger.py`` and vendored as
 ``functions/data/pos_perceptron.npz``.
 
 Inference is COMPILED to numpy: feature string -> row id, weights as
-one (n_feats, n_classes) float64 matrix; tagging a token = 14 dict
-lookups + one row-sum + argmax (~5x the pure-dict implementation,
-measured).  Training compiles once at the end, and the vendored files
-hold the compiled form itself (``save``/``load``: ``W``, the feature
-names in row order, the classes, the tagdict), so a process loads a
-model without building the training-time weight dicts: on a 4-CPU
-host, 0.1 s and 51 MiB of peak RSS for both models, against 0.66 s
-and 130 MiB through the dicts.  Deterministic end to end: seeded training shuffle,
-first-in-sorted-class-order tie-break in BOTH the dict and compiled
-paths, pure inference.
+one (n_feats, n_classes) matrix; tagging a token = 14 dict lookups +
+one row-sum + argmax (~5x the pure-dict implementation, measured).
+Averaging rounds every weight to 3 decimals, so the matrix is held as
+int16 milli-weights ``K`` with ``K / 1000.0`` bitwise equal to the
+float64 weights: inference divides only the rows it gathers by 1000.0
+before adding them, so every score is the float64 path's, at a quarter
+of its memory (33.9 -> 8.5 MiB for both vendored models).  Training
+compiles once at the end, and the vendored files hold the compiled
+form itself (``save``/``load``: ``W``, the feature names in row order,
+the classes, the tagdict), so a process loads a model without building
+the training-time weight dicts: on a 4-CPU host, 0.08 s and 24 MiB of
+peak RSS for both models (50 MiB with float64 weights), against 0.66 s
+and 130 MiB through the dicts.  Deterministic end to end: seeded
+training shuffle, first-in-sorted-class-order tie-break in BOTH the
+dict and compiled paths, pure inference.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ import random
 from collections import defaultdict
 
 import numpy as np
+
+# weights are held as int16 K = 1000 * w (see ``_milli``)
+_MILLI = 1000.0
 
 _DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 _WEIGHTS = os.path.join(_DATA, "pos_perceptron.npz")
@@ -137,6 +145,27 @@ def _unpack_strings(data: np.ndarray, ends: np.ndarray) -> list[str]:
     return [s[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
+def _milli(w: np.ndarray) -> np.ndarray:
+    """float64 weights -> int16 milli-weights ``K`` with ``K / 1000.0``
+    bitwise equal to ``w``. Raises ``ValueError`` on a weight that is
+    not an exact 3-decimal value within int16 range: such a model has
+    no exact int16 form."""
+    k = np.rint(w * _MILLI)
+    if (np.abs(k) > np.iinfo(np.int16).max).any() or not np.array_equal(
+            k / _MILLI, w):
+        raise ValueError("perceptron weights are not exact int16 "
+                         "milli-weights (3 decimals, |w| <= 32.767)")
+    return k.astype(np.int16)
+
+
+def _row_sums(K: np.ndarray, ids: list[int], offs: list[int]) -> np.ndarray:
+    """Per-position sums of the weight rows ``ids[offs[p]:offs[p+1]]``:
+    one gather, each row divided by 1000.0, then one reduceat, so every
+    sum equals the float64 weights' bit for bit."""
+    return np.add.reduceat(K[np.asarray(ids, dtype=np.intp)] / _MILLI,
+                           np.asarray(offs, dtype=np.intp), axis=0)
+
+
 def _weights_dict(feat_id: dict[str, int], W: np.ndarray,
                   classes: list[str]) -> dict[str, dict[str, float]]:
     """Compiled form -> the training-time ``{feature: {class: w}}``
@@ -150,11 +179,12 @@ def _weights_dict(feat_id: dict[str, int], W: np.ndarray,
 
 class _CompiledPerceptron:
     """What the POS and chunk models share: the averaged perceptron
-    they train, its compiled form (feature -> row id, one float64
-    matrix ``W``, the sorted classes), and the one on-disk format of
-    that form, an ``.npz`` of plain arrays: ``W`` as its nonzero
-    (row, col, value) triplets plus its shape, and every string list
-    as UTF-8 bytes with end offsets."""
+    they train, its compiled form (feature -> row id, the int16
+    milli-weight matrix ``K``, the sorted classes), and the one on-disk
+    format of that form, an ``.npz`` of plain arrays: the float64
+    weights ``W = K / 1000.0`` as their nonzero (row, col, value)
+    triplets plus their shape, and every string list as UTF-8 bytes
+    with end offsets."""
 
     _PATH = ""
     _CACHE_CAP = 1_000_000
@@ -162,29 +192,38 @@ class _CompiledPerceptron:
     def __init__(self):
         self.model = AveragedPerceptron()
         self._feat_id: dict[str, int] | None = None
-        self._W: np.ndarray | None = None
+        self._K: np.ndarray | None = None
         self._classes: list[str] = []
 
+    @property
+    def _W(self) -> np.ndarray | None:
+        """The float64 weight matrix ``K / 1000.0``, built on each
+        call (the dict form, tests); inference never builds it."""
+        return None if self._K is None else self._K / _MILLI
+
     def _compile(self):
-        """weights dict -> (feature -> row id, row matrix)."""
+        """weights dict -> (feature -> row id, milli-weight matrix);
+        ``ValueError`` when a weight is not an exact milli-value."""
         classes = list(self.model.classes)
         cid = {c: j for j, c in enumerate(classes)}
         feat_id = {}
-        rows = []
+        rows, cols, vals = [], [], []
         for feat, wrow in self.model.weights.items():
-            feat_id[feat] = len(rows)
-            r = np.zeros(len(classes), dtype=np.float64)
+            j = feat_id[feat] = len(feat_id)
             for tag, w in wrow.items():
-                r[cid[tag]] = w
-            rows.append(r)
-        W = (np.vstack(rows) if rows
-             else np.zeros((0, len(classes)), dtype=np.float64))
-        self._install(feat_id, W, classes)
+                rows.append(j)
+                cols.append(cid[tag])
+                vals.append(w)
+        K = np.zeros((len(feat_id), len(classes)), dtype=np.int16)
+        idx = (np.asarray(rows, dtype=np.intp),
+               np.asarray(cols, dtype=np.intp))
+        K[idx] = _milli(np.asarray(vals, dtype=np.float64))
+        self._install(feat_id, K, classes)
 
-    def _install(self, feat_id: dict[str, int], W: np.ndarray,
+    def _install(self, feat_id: dict[str, int], K: np.ndarray,
                  classes: list[str]):
         """Set the compiled form and empty the inference caches."""
-        self._feat_id, self._W, self._classes = feat_id, W, classes
+        self._feat_id, self._K, self._classes = feat_id, K, classes
         self._zero = np.zeros(len(classes), dtype=np.float64)
         self._trans: dict[tuple[str, str], np.ndarray] = {}
         self._bias_id = self._ensure_bias_row()
@@ -201,9 +240,10 @@ class _CompiledPerceptron:
         without changing any score."""
         j = self._feat_id.get("bias")
         if j is None:
-            j = self._W.shape[0]
+            j = self._K.shape[0]
             self._feat_id["bias"] = j
-            self._W = np.vstack([self._W, self._zero])
+            self._K = np.vstack(
+                [self._K, np.zeros((1, len(self._classes)), np.int16)])
         return j
 
     # -- persistence -------------------------------------------------------
@@ -216,13 +256,13 @@ class _CompiledPerceptron:
 
     def save(self, path: str | None = None):
         path = path or self._PATH
-        W = self._W
-        r, c = np.nonzero(W)
+        K = self._K
+        r, c = np.nonzero(K)
         lists = {"feat": sorted(self._feat_id, key=self._feat_id.get),
                  "classes": self._classes, **self._extra_strings()}
-        arrays = {"W_shape": np.asarray(W.shape, dtype=np.int64),
+        arrays = {"W_shape": np.asarray(K.shape, dtype=np.int64),
                   "W_row": r.astype(np.int32), "W_col": c.astype(np.int32),
-                  "W_val": W[r, c]}
+                  "W_val": K[r, c] / _MILLI}
         for name, xs in lists.items():
             arrays[name], arrays[name + "_end"] = _pack_strings(xs)
         with open(path, "wb") as f:
@@ -230,20 +270,22 @@ class _CompiledPerceptron:
 
     @classmethod
     def load(cls, path: str | None = None):
-        """The saved compiled form, or None when the file is absent."""
+        """The saved compiled form, or None when the file is absent.
+        ``K`` is filled straight from the triplets, so no dense float64
+        matrix is ever built."""
         path = path or cls._PATH
         if not os.path.exists(path):
             return None
         with np.load(path, allow_pickle=False) as z:
-            W = np.zeros(tuple(z["W_shape"].tolist()), dtype=np.float64)
-            W[z["W_row"], z["W_col"]] = z["W_val"]
+            K = np.zeros(tuple(z["W_shape"].tolist()), dtype=np.int16)
+            K[z["W_row"], z["W_col"]] = _milli(z["W_val"])
             lists = {name: _unpack_strings(z[name], z[name + "_end"])
                      for name in z.files
                      if not name.startswith("W_")
                      and not name.endswith("_end")}
         t = cls()
         t.model.classes = lists.pop("classes")
-        t._install({f: j for j, f in enumerate(lists.pop("feat"))}, W,
+        t._install({f: j for j, f in enumerate(lists.pop("feat"))}, K,
                    list(t.model.classes))
         t._set_extra_strings(lists)
         return t
@@ -251,7 +293,7 @@ class _CompiledPerceptron:
     def _dict_weights(self) -> dict[str, dict[str, float]]:
         """The training-time dicts, rebuilt from the compiled form when
         a loaded model has none (the un-compiled fallback paths)."""
-        if not self.model.weights and self._W is not None:
+        if not self.model.weights and self._K is not None:
             self.model.weights = _weights_dict(self._feat_id, self._W,
                                                self._classes)
         return self.model.weights
@@ -288,14 +330,14 @@ class PerceptronTagger(_CompiledPerceptron):
         row = self._trans.get((prev, prev2))
         if row is None:
             fid = self._feat_id
-            W = self._W
+            K = self._K
             row = self._zero
             for k in ("i-1 tag " + prev,
                       "i-2 tag " + prev2,
                       "i tag+i-2 tag " + prev + " " + prev2):
                 j = fid.get(k)
                 if j is not None:
-                    row = row + W[j]
+                    row = row + K[j] / _MILLI
             self._trans[(prev, prev2)] = row
         return row
 
@@ -338,40 +380,45 @@ class PerceptronTagger(_CompiledPerceptron):
             t = packed
         return t
 
-    def tag(self, tokens: list[str]) -> list[str]:
-        if not tokens:
-            return []
-        if self._W is None:  # un-compiled (mid-training) fallback
-            return self._tag_dictpath(tokens)
-        context = _START + [_normalize(w) for w in tokens] + _END
-        fget = self._feat_id.get
-        W = self._W
+    def _context_ids(self, tokens: list[str],
+                     context: list[str]) -> tuple[list[int], list[int]]:
+        """Context-feature row ids of every position the tagdict does
+        not settle, and each position's offset into them: the input
+        of ``tag``'s one ``_row_sums``."""
         get_tag = self.tagdict.get
         win = self._win
         # pre-resolve window ids once per sentence position
         wins = [win(v) for v in context]
-        # one reduceat over every unknown position's context features
-        need = [i for i, w in enumerate(tokens) if get_tag(w) is None]
-        if need:
-            ids: list[int] = []
-            offs: list[int] = []
-            bias = self._bias_id
-            for i in need:
-                offs.append(len(ids))
-                # "bias" is always a trained feature, so every segment
-                # is non-empty and reduceat offsets stay strict
-                ids.append(bias)
-                ids.extend(self._raw(tokens[i]))
-                ids.extend(wins[i + 2][0])  # i word
-                ids.extend(wins[i + 1][1])  # i-1 word/suffix
-                ids.extend(wins[i][2])      # i-2 word
-                ids.extend(wins[i + 3][3])  # i+1 word/suffix
-                ids.extend(wins[i + 4][4])  # i+2 word
-            ctx_scores = np.add.reduceat(
-                W[np.asarray(ids, dtype=np.intp)],
-                np.asarray(offs, dtype=np.intp),
-                axis=0,
-            )
+        ids: list[int] = []
+        offs: list[int] = []
+        bias = self._bias_id
+        for i, w in enumerate(tokens):
+            if get_tag(w) is not None:
+                continue
+            offs.append(len(ids))
+            # "bias" is always a trained feature, so every segment
+            # is non-empty and reduceat offsets stay strict
+            ids.append(bias)
+            ids.extend(self._raw(w))
+            ids.extend(wins[i + 2][0])  # i word
+            ids.extend(wins[i + 1][1])  # i-1 word/suffix
+            ids.extend(wins[i][2])      # i-2 word
+            ids.extend(wins[i + 3][3])  # i+1 word/suffix
+            ids.extend(wins[i + 4][4])  # i+2 word
+        return ids, offs
+
+    def tag(self, tokens: list[str]) -> list[str]:
+        if not tokens:
+            return []
+        if self._K is None:  # un-compiled (mid-training) fallback
+            return self._tag_dictpath(tokens)
+        context = _START + [_normalize(w) for w in tokens] + _END
+        fget = self._feat_id.get
+        K = self._K
+        get_tag = self.tagdict.get
+        ids, offs = self._context_ids(tokens, context)
+        if offs:
+            ctx_scores = _row_sums(K, ids, offs)
         prev, prev2 = _START
         out = []
         classes = self._classes
@@ -383,7 +430,7 @@ class PerceptronTagger(_CompiledPerceptron):
                 k += 1
                 j = fget("i-1 tag+i word " + prev + " " + context[i + 2])
                 if j is not None:
-                    score = score + W[j]
+                    score = score + K[j] / _MILLI
                 tag = classes[int(score.argmax())]
             out.append(tag)
             prev2 = prev
@@ -514,12 +561,12 @@ class ChunkPerceptron(_CompiledPerceptron):
         row = self._trans.get((prev, prev2))
         if row is None:
             fid = self._feat_id
-            W = self._W
+            K = self._K
             row = self._zero
             for k in ("t-1 " + prev, "t-2 " + prev2):
                 j = fid.get(k)
                 if j is not None:
-                    row = row + W[j]
+                    row = row + K[j] / _MILLI
             self._trans[(prev, prev2)] = row
         return row
 
@@ -556,25 +603,12 @@ class ChunkPerceptron(_CompiledPerceptron):
             self._pcombo[key] = t
         return t
 
-    def tag(self, tokens: list[str], postags: list[str]) -> list[str]:
-        if not tokens:
-            return []
-        words = _START + [_normalize(w) for w in tokens] + _END
-        poss = _START + list(postags) + _END
-        fid = self._feat_id
-        W = self._W
-        if W is None:  # un-compiled (mid-training) fallback
-            prev, prev2 = _START
-            out = []
-            for i in range(len(tokens)):
-                tag = self.model.predict(
-                    _chunk_feature_keys(i, words, poss, prev, prev2)
-                )
-                out.append(tag)
-                prev2 = prev
-                prev = tag
-            return out
-        fget = fid.get
+    def _context_ids(self, words: list[str],
+                     poss: list[str]) -> tuple[list[int], list[int]]:
+        """Context-feature row ids of every position (``words`` and
+        ``poss`` padded with ``_START``/``_END``), and each position's
+        offset into them: the input of ``tag``'s one ``_row_sums``."""
+        fget = self._feat_id.get
         wids = self._wids
         pids = self._pids
         wp = self._wp
@@ -582,7 +616,7 @@ class ChunkPerceptron(_CompiledPerceptron):
         offs: list[int] = []
         bias = self._bias_id
         wslots = [wids(v) for v in words]
-        for i in range(len(tokens)):
+        for i in range(len(words) - 4):
             offs.append(len(ids))
             j = i + 2
             # "bias" is always trained -> non-empty reduceat segments
@@ -604,11 +638,27 @@ class ChunkPerceptron(_CompiledPerceptron):
                 wp[wpk] = fj
             if fj is not None:
                 ids.append(fj)
-        ctx_scores = np.add.reduceat(
-            W[np.asarray(ids, dtype=np.intp)],
-            np.asarray(offs, dtype=np.intp),
-            axis=0,
-        )
+        return ids, offs
+
+    def tag(self, tokens: list[str], postags: list[str]) -> list[str]:
+        if not tokens:
+            return []
+        words = _START + [_normalize(w) for w in tokens] + _END
+        poss = _START + list(postags) + _END
+        K = self._K
+        if K is None:  # un-compiled (mid-training) fallback
+            prev, prev2 = _START
+            out = []
+            for i in range(len(tokens)):
+                tag = self.model.predict(
+                    _chunk_feature_keys(i, words, poss, prev, prev2)
+                )
+                out.append(tag)
+                prev2 = prev
+                prev = tag
+            return out
+        fget = self._feat_id.get
+        ctx_scores = _row_sums(K, *self._context_ids(words, poss))
         prev, prev2 = _START
         out = []
         classes = self._classes
@@ -616,7 +666,7 @@ class ChunkPerceptron(_CompiledPerceptron):
             score = ctx_scores[i] + self._trans_row(prev, prev2)
             j = fget("t-1+p " + prev + " " + poss[i + 2])
             if j is not None:
-                score = score + W[j]
+                score = score + K[j] / _MILLI
             tag = classes[int(score.argmax())]
             out.append(tag)
             prev2 = prev

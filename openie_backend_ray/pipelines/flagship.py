@@ -17,12 +17,16 @@ the line input with ``source_url = ""``.
                                  once per unique text, models resident
                                  per worker; G1 map-side combine)
       -> merge_blob_shuffle     (G1 reduce, caps)
-      -> LinkerActor pool       (with side tables; else finalize_groups;
-                                 either one applies the per-group G3
-                                 instance dedup as it converts blobs)
+      -> link_batch tasks       (with side tables, a LinkerActor
+                                 resident per worker; else
+                                 finalize_groups; either one applies
+                                 the per-group G3 instance dedup as it
+                                 converts blobs)
       -> materialize_triples    (sorted Parquet)
 
-The link pool is the only actor pool.
+The flagship holds no actor pool: every stage runs in Ray tasks, whose
+workers Ray reuses across Datasets, so a run starts no process and
+holds no CPU once it ends.
 
 Filters (M7-M9, ``postprocess.filter_groups_batch``) and
 canonicalization (G4, ``canonicalize``) are separate jobs, like the

@@ -67,7 +67,7 @@ def needs_relink(size: int) -> bool:
 
 def _groups_to_blobs(batch: pa.Table) -> pa.Table:
     """GROUPS rows -> the grouper's blob representation so they can
-    re-enter the linker actor pool."""
+    re-enter the linker (``linker.link_groups``)."""
     import pickle
 
     from openie_backend_ray.stages.grouper import BLOB_GROUPS, _inst_pack

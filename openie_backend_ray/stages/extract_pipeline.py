@@ -21,16 +21,16 @@ extractor once per JVM (``ScoobiSentenceChunker.scala:19``,
 ``ScoobiReVerb.scala:31``, lazy vals). An actor pool starts new worker
 processes for every Dataset, and each one imported Ray and loaded the
 models before its first batch. Ray reuses task workers across
-Datasets, and each worker keeps its extractor in a one-entry
-per-process memo (``_resident_extractor``), so the models load once
-per worker per session. The compiled model files
-(``functions/postagger.py``) keep that resident state small: a worker
-keeps its models and its lexicon dict after the Dataset ends (about
-40-55 MiB over an idle worker on web_unique), but not the lexicon's
-object-store copy. Measured
-on perfbench's web_unique (4,000 sentences, Ray at 2 CPUs), a whole
+Datasets, and each worker keeps its extractor in a per-process memo
+(``util.resident``), so the models load once per worker per session.
+The linker runs the same way (``linker.link_batch``), so the flagship
+holds no actor pool. The compiled model files
+(``functions/postagger.py``, int16 milli-weights) keep that resident
+state small: a worker keeps its models and its lexicon dict after the
+Dataset ends, but not the lexicon's object-store copy. Measured on
+perfbench's web_unique (4,000 sentences, Ray at 2 CPUs), a whole
 flagship iteration fell from 2.4 to 1.5 machine CPU s per 1k
-sentences.
+sentences with extraction in tasks.
 
 Why extraction runs once per TEXT: web corpora are duplication-heavy
 (the sf bench corpus is 571,880 sentences over 8,535 uniques, 67x). A
@@ -69,7 +69,7 @@ from openie_backend_ray.stages.sentences import explode_text_spans
 class ExtractCombineActor(ChunkerActor):
     """``unique_sentences`` batch -> BLOB_GROUPS partial rows
     (M1+M2+M5+M6+G1 map side). One instance stays resident per task
-    worker (``_resident_extractor``), holding the lexicon and the
+    worker (``extract_combine``), holding the lexicon and the
     process's models (A1/A2)."""
 
     def __init__(self, lexicon_ref=None, lexicon=None,
@@ -209,30 +209,17 @@ def unique_sentences(ds):
     )
 
 
-# (key, extractor) resident in this worker process
-_RESIDENT: tuple = (None, None)
-
-
-def _resident_extractor(extractor: type, lexicon_ref, corpus: str):
-    """This process's ``extractor(lexicon_ref=, corpus=)``: built on
-    first use and kept while the (class, lexicon, corpus) key stays
-    the same. The key holds the lexicon ref's id, not the ref, so a
-    worker does not pin the lexicon in the object store once the
-    driver drops it. The models come from ``default_tagger()`` /
-    ``default_chunker()``, which load once per process as well."""
-    global _RESIDENT
-    key = (extractor,
-           None if lexicon_ref is None else lexicon_ref.binary(), corpus)
-    if _RESIDENT[0] != key:
-        _RESIDENT = (None, None)  # drop the old lexicon before loading
-        _RESIDENT = (key, extractor(lexicon_ref=lexicon_ref, corpus=corpus))
-    return _RESIDENT[1]
-
-
 def extract_combine(batch: pa.Table, extractor: type, lexicon_ref,
                     corpus: str) -> pa.Table:
-    """One task's batch through this worker's resident extractor."""
-    return _resident_extractor(extractor, lexicon_ref, corpus)(batch)
+    """One task's batch through this worker's resident extractor (one
+    per extractor class, ``util.resident``), kept while the lexicon and
+    corpus stay the same. The models come from ``default_tagger()`` /
+    ``default_chunker()``, which load once per process as well."""
+    from openie_backend_ray.util import resident
+
+    key = (None if lexicon_ref is None else lexicon_ref.binary(), corpus)
+    return resident(extractor, key, lexicon_ref=lexicon_ref,
+                    corpus=corpus)(batch)
 
 
 def extract_and_combine(ds, lexicon_ref=None, corpus: str = "corpus",

@@ -1,4 +1,5 @@
-"""Entity-linking stage (SURVEY.md A5, J3-J5, M11): an actor-pool stage.
+"""Entity-linking stage (SURVEY.md A5, J3-J5, M11): a task stage over a
+linker that stays resident in each Ray task worker.
 
 The reference's linker bundle is per-thread state over scratch-disk
 indexes: crosswikis Derby DB (anchor -> entity, cprob, count), fbid ->
@@ -8,16 +9,16 @@ index, and an fbid -> types index
 ``batch_match.java:60-72``; per-thread map
 ``ScoobiEntityLinker.scala:111-152``). Here the bundle is a dict of
 SORTED single-chunk Arrow tables prepared ONCE driver-side
-(``prepare_linker_tables``) and broadcast via ``ray.put``: each actor's
-``ray.get`` returns zero-copy views into the plasma object store, so N
-actors on a node share ONE physical copy, and lookups are binary
-searches over the sorted key columns plus a small bounded per-actor hot
-cache — the same shape as the reference's binary-searched sorted files
-with an LRU front (``linker/.../SortedFileMap.java:83-152``), which it
-used for exactly this reason at its 37 GB data scale
-(``linker/README.md:30-32``). A tf-idf cosine (vectors precomputed into
-an Arrow table at prepare time) replaces MoreLikeThis for the context
-score.
+(``prepare_linker_tables``) and broadcast via ``ray.put``: each
+worker's ``ray.get`` returns zero-copy views into the plasma object
+store, so N workers on a node share ONE physical copy, and lookups are
+binary searches over the sorted key columns plus a small bounded
+per-worker hot cache — the same shape as the reference's
+binary-searched sorted files with an LRU front
+(``linker/.../SortedFileMap.java:83-152``), which it used for exactly
+this reason at its 37 GB data scale (``linker/README.md:30-32``). A
+tf-idf cosine (vectors precomputed into an Arrow table at prepare
+time) replaces MoreLikeThis for the context score.
 
 Semantics mirrored:
 - head-phrase candidate probing (HeadPhraseFinder, M11);
@@ -69,9 +70,9 @@ def prepare_linker_tables(tables: dict) -> dict:
     """Raw side tables -> the prepared (sorted, single-chunk, derived)
     bundle the LinkerActor probes with binary search. Run ONCE on the
     driver (or as an offline job) and ``ray.put`` the result; every
-    actor then shares the plasma copy zero-copy.
+    linker then shares the plasma copy zero-copy.
 
-    Derivations (exactly the dicts the actor used to build per actor):
+    Derivations (exactly the dicts the linker used to build per process):
     - ``cw``: crosswikis filtered by the cprob/count cutoffs, sorted by
       anchor with original row order preserved within an anchor (the
       candidate iteration order determines strict-``>`` tie-breaks);
@@ -82,7 +83,7 @@ def prepare_linker_tables(tables: dict) -> dict:
       token-intersection fallback index);
     - ``fbid_types`` sorted by fbid;
     - ``idf`` (term, idf) and ``ctx`` (fbid, terms, weights, norm):
-      the tf-idf context index, precomputed so actors never hold the
+      the tf-idf context index, precomputed so linkers never hold the
       full term-vector dicts.
 
     At the reference's 37 GB data scale the crosswikis filter+sort is
@@ -209,7 +210,38 @@ class _Utf8Keys:
         return self._n
 
     def __getitem__(self, i: int) -> bytes:
-        return self._data[self._off[i]:self._off[i + 1]].tobytes()
+        return self.view(i).tobytes()
+
+    def view(self, i: int) -> memoryview:
+        return self._data[self._off[i]:self._off[i + 1]]
+
+
+def _one_chunk(col: pa.ChunkedArray) -> pa.Array:
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
+def _reader(arr: pa.Array):
+    """``(lo, hi) -> arr[lo:hi]`` as Python values, read from the
+    array's own buffers for the side tables' column types (strings,
+    numbers and lists of those, without nulls); any other column goes
+    through ``to_pylist``."""
+    t = arr.type
+    if arr.null_count == 0:
+        if pa.types.is_string(t) or pa.types.is_large_string(t):
+            k = _Utf8Keys(arr)
+            return lambda lo, hi: [str(k.view(i), "utf-8")
+                                   for i in range(lo, hi)]
+        if pa.types.is_integer(t) or pa.types.is_floating(t):
+            v = arr.to_numpy(zero_copy_only=True)
+            return lambda lo, hi: v[lo:hi].tolist()
+        if pa.types.is_list(t) or pa.types.is_large_list(t):
+            # offsets follow this array's slice; they index the whole
+            # child array
+            off = arr.offsets.to_numpy(zero_copy_only=True)
+            child = _reader(arr.values)
+            return lambda lo, hi: [child(int(off[i]), int(off[i + 1]))
+                                   for i in range(lo, hi)]
+    return lambda lo, hi: arr.slice(lo, hi - lo).to_pylist()
 
 
 class SortedArrowMap:
@@ -222,32 +254,46 @@ class SortedArrowMap:
     A probe bisects the key column's own buffers (``_Utf8Keys``):
     each step copies out one key's bytes, nothing else. Arrow sorts
     strings by their UTF-8 bytes and Python compares them by code
-    point, which is the same order."""
+    point, which is the same order. A hit's values are read from the
+    other columns' buffers (``_reader``, built once per column), so a
+    hit builds no Arrow slice or scalar."""
 
     def __init__(self, table: pa.Table, key: str):
         self._t = table
-        col = table.column(key)
-        self._k = _Utf8Keys(col.chunk(0) if col.num_chunks == 1
-                            else col.combine_chunks())
+        self._k = _Utf8Keys(_one_chunk(table.column(key)))
+        self._readers: dict = {}
 
-    def range(self, x: str) -> pa.Table:
-        """All rows with key == x (original row order); empty on miss."""
+    def span(self, x: str) -> tuple[int, int]:
+        """The rows ``[lo, hi)`` with key == x; ``lo == hi`` on a miss."""
         k, xb = self._k, x.encode("utf-8", "surrogatepass")
         lo = bisect_left(k, xb)
         if lo == len(k) or k[lo] != xb:
-            return self._t.slice(lo, 0)
-        return self._t.slice(lo, bisect_right(k, xb, lo + 1) - lo)
+            return lo, lo
+        return lo, bisect_right(k, xb, lo + 1)
+
+    def range(self, x: str) -> pa.Table:
+        """All rows with key == x (original row order); empty on miss."""
+        lo, hi = self.span(x)
+        return self._t.slice(lo, hi - lo)
+
+    def values(self, col: str, lo: int, hi: int) -> list:
+        """Column ``col`` of rows ``[lo, hi)`` as Python values."""
+        r = self._readers.get(col)
+        if r is None:
+            r = self._readers[col] = _reader(_one_chunk(self._t.column(col)))
+        return r(lo, hi)
 
 
 _MISS = object()
 
 
 class LinkerActor:
-    """map_batches callable over blob group rows -> GROUPS schema rows.
+    """Blob group rows -> GROUPS schema rows; ``link_batch`` keeps one
+    per task worker.
 
-    Holds NO per-actor copies of the side tables: probes the shared
+    Holds NO private copies of the side tables: probes the shared
     prepared Arrow tables via ``SortedArrowMap`` with bounded hot
-    caches (epoch-evicted dicts), so per-actor heap is O(cache), not
+    caches (epoch-evicted dicts), so its heap is O(cache), not
     O(side-table)."""
 
     _CACHE_CAP = 65_536
@@ -263,7 +309,7 @@ class LinkerActor:
         if not tables.get("prepared"):
             # fixture-scale convenience (tests hand raw tables in);
             # production callers prepare ONCE driver-side and put the
-            # prepared dict so this branch never runs per actor
+            # prepared dict so this branch never runs per worker
             tables = prepare_linker_tables(tables)
         self._cw = SortedArrowMap(tables["cw"], "anchor")
         self._fi = SortedArrowMap(tables["fbid_info"], "fbid")
@@ -289,57 +335,66 @@ class LinkerActor:
     # -- probe wrappers (dict semantics preserved exactly) -----------------
     def _candidates_of(self, anchor: str):
         def probe():
-            t = self._cw.range(anchor)
-            if t.num_rows == 0:
+            m = self._cw
+            lo, hi = m.span(anchor)
+            if lo == hi:
                 return None
             return list(zip(
-                t["fbid"].to_pylist(), t["title"].to_pylist(),
-                t["cprob"].to_pylist(), t["count"].to_pylist(),
+                m.values("fbid", lo, hi), m.values("title", lo, hi),
+                m.values("cprob", lo, hi), m.values("count", lo, hi),
             ))
 
         return self._cached(self._c_cand, anchor, probe)
 
     def _fbid_info_of(self, fbid: str):
         def probe():
-            t = self._fi.range(fbid)
-            if t.num_rows == 0:
+            m = self._fi
+            lo, hi = m.span(fbid)
+            if lo == hi:
                 return None
-            return (t["title"][0].as_py(), t["inlinks"][0].as_py())
+            return (m.values("title", lo, lo + 1)[0],
+                    m.values("inlinks", lo, lo + 1)[0])
 
         return self._cached(self._c_fi, fbid, probe)
 
     def _title_fbid(self, title_lc: str):
-        t = self._titles.range(title_lc)
-        return t["fbid"][0].as_py() if t.num_rows else None
+        m = self._titles
+        lo, hi = m.span(title_lc)
+        return m.values("fbid", lo, lo + 1)[0] if hi > lo else None
 
     def _token_fbids(self, token: str):
         def probe():
-            t = self._toks.range(token)
-            return t["fbid"].to_pylist() if t.num_rows else None
+            m = self._toks
+            lo, hi = m.span(token)
+            return m.values("fbid", lo, hi) if hi > lo else None
 
         return self._cached(self._c_tok, token, probe)
 
     def _types_of(self, fbid: str):
         def probe():
-            t = self._ftypes.range(fbid)
-            return list(t["types"][0].as_py()) if t.num_rows else []
+            m = self._ftypes
+            lo, hi = m.span(fbid)
+            return m.values("types", lo, lo + 1)[0] if hi > lo else []
 
         return self._cached(self._c_types, fbid, probe)
 
     def _idf_of(self, term: str) -> float:
         def probe():
-            t = self._idf.range(term)
-            return t["idf"][0].as_py() if t.num_rows else 0.0
+            m = self._idf
+            lo, hi = m.span(term)
+            return m.values("idf", lo, lo + 1)[0] if hi > lo else 0.0
 
         return self._cached(self._c_idf, term, probe)
 
     def _ctx_vec(self, fbid: str):
         def probe():
-            t = self._ctx.range(fbid)
-            if t.num_rows == 0:
+            m = self._ctx
+            lo, hi = m.span(fbid)
+            if lo == hi:
                 return None
-            vec = dict(zip(t["terms"][0].as_py(), t["weights"][0].as_py()))
-            return (vec, t["norm"][0].as_py())
+            vec = dict(zip(m.values("terms", lo, lo + 1)[0],
+                           m.values("weights", lo, lo + 1)[0]))
+            return (vec, m.values("norm", lo, lo + 1)[0])
 
         return self._cached(self._c_ctx, fbid, probe)
 
@@ -517,21 +572,28 @@ class LinkerActor:
                             a1_types, a2_types, dedup=self._dedup)
 
 
+def link_batch(batch: pa.Table, tables_ref, dedup: bool) -> pa.Table:
+    """One task's batch through this worker's resident ``LinkerActor``
+    (``util.resident``), kept, with its warm caches, while the side
+    tables and ``dedup`` stay the same."""
+    from openie_backend_ray.util import resident
+
+    return resident(LinkerActor, (tables_ref.binary(), dedup),
+                    tables_ref=tables_ref, dedup=dedup)(batch)
+
+
 def link_groups(blob_groups_ds, tables_ref, dedup: bool = False):
     """blob group rows -> linked GROUPS rows (A5; G3-deduped when
-    ``dedup``). The actor pool is the analogue of the reference's
-    4-replica scratch-disk linkers with random pick
-    (``ScoobiEntityLinker.scala:127-143``) — Ray schedules the replicas
-    and balances batches for free."""
-    from openie_backend_ray.util import actor_cpus, auto_pool
-
+    ``dedup``), in Ray tasks. Each task worker keeps one linker for the
+    session, as the reference keeps one per JVM thread
+    (``ScoobiEntityLinker.scala:111-152``); Ray reuses the workers
+    across Datasets, so no run starts a process or reserves a CPU for
+    the linker."""
     return blob_groups_ds.map_batches(
-        LinkerActor,
-        fn_constructor_kwargs={"tables_ref": tables_ref, "dedup": dedup},
+        link_batch,
+        fn_kwargs={"tables_ref": tables_ref, "dedup": dedup},
         batch_format="pyarrow",
         batch_size=512,
-        concurrency=auto_pool(0.25),
-        num_cpus=actor_cpus(),
     )
 
 

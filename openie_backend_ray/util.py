@@ -2,6 +2,24 @@
 
 from __future__ import annotations
 
+# class -> (key, instance) resident in this worker process
+_RESIDENT: dict = {}
+
+
+def resident(cls: type, key, **kwargs):
+    """This process's ``cls(**kwargs)``: built on first use and kept
+    while ``key`` stays the same, one entry per class. Stages that run
+    in Ray tasks keep their loaded state in it, since Ray reuses task
+    workers across Datasets. ``key`` must not hold an ``ObjectRef``
+    (use ``ref.binary()``): a worker would then pin the object in the
+    object store after the driver drops it. A new key drops the old
+    instance before building the new one."""
+    hit = _RESIDENT.get(cls)
+    if hit is None or hit[0] != key:
+        _RESIDENT.pop(cls, None)
+        _RESIDENT[cls] = (key, cls(**kwargs))
+    return _RESIDENT[cls][1]
+
 
 def auto_pool(frac: float = 0.5, lo: int = 1, hi: int = 64) -> tuple[int, int]:
     """Fixed actor-pool size ``(target, target)`` sized from the live
@@ -11,9 +29,10 @@ def auto_pool(frac: float = 0.5, lo: int = 1, hi: int = 64) -> tuple[int, int]:
     of 4 CPUs or fewer, keeps one full CPU free for shuffle tasks. The
     pool is fixed, not autoscaling: every actor starts at once, and the
     callers budget their fracs so the pools of one pipeline sum below
-    the cluster (flagship: the 0.25 link pool is its only pool; its
-    extraction runs in tasks). The reference's
-    analogue is its mapper cap (20-40 linker mappers cluster-wide,
+    the cluster. The flagship uses no pool (its extraction and linking
+    run in tasks); the staged OpenIE4 path and the multimodal decoders
+    do. The reference's analogue is its mapper cap (20-40 linker
+    mappers cluster-wide,
     ``docs/reverb-cluster-extraction-indexing.txt:145-147``).
     """
     import ray

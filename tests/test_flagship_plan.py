@@ -1,7 +1,9 @@
 """The flagship's plan and its G1 tail, without the reference: the G3
 instance dedup inside the tail gives the rows of the separate
-``dedup_groups_batch`` pass, and the plan holds one actor pool (the
-linker) and no dedup operator."""
+``dedup_groups_batch`` pass; the plan holds no actor pool and no dedup
+operator, so a finished run holds no CPU; and the extractor and linker
+that stay resident in task workers give the in-process rows without
+pinning what the driver dropped."""
 
 from __future__ import annotations
 
@@ -98,17 +100,18 @@ def test_dedup_in_g1_tail_equals_separate_pass(ray_session, tables_ref,
         assert any(r["arg1_entity"] for r in folded.take_all())
 
 
-def test_flagship_plan_has_one_actor_pool_and_no_dedup_op(ray_session,
-                                                          tables_ref):
-    """With side tables, the plan's one actor-pool operator is the
-    linker; extraction runs in tasks, and no operator runs the G3
-    dedup on its own."""
+def test_flagship_plan_has_no_actor_pool_and_no_dedup_op(ray_session,
+                                                         tables_ref):
+    """With side tables, the plan holds no actor-pool operator:
+    extraction and linking both run as task operators, and no operator
+    runs the G3 dedup on its own."""
     import ray.data as rd
     from ray.data import ActorPoolStrategy
+    from ray.data._internal.compute import TaskPoolStrategy
 
     from openie_backend_ray.pipelines.flagship import run_flagship
     from openie_backend_ray.stages.extract_pipeline import extract_combine
-    from openie_backend_ray.stages.linker import LinkerActor
+    from openie_backend_ray.stages.linker import link_batch
     from openie_backend_ray.stages.postprocess import dedup_groups_batch
 
     ds = run_flagship(rd.from_arrow(_lines()), side_tables_ref=tables_ref)
@@ -120,8 +123,10 @@ def test_flagship_plan_has_one_actor_pool_and_no_dedup_op(ray_session,
     fns = {op: getattr(op, "_fn", None) for op in ops}
     pools = [fns[op] for op in ops
              if isinstance(getattr(op, "_compute", None), ActorPoolStrategy)]
-    assert pools == [LinkerActor]
-    assert extract_combine in fns.values()
+    assert pools == []
+    tasks = [fns[op] for op in ops if isinstance(
+        getattr(op, "_compute", None), TaskPoolStrategy)]
+    assert extract_combine in tasks and link_batch in tasks
     assert dedup_groups_batch not in fns.values()
     assert not any("dedup" in op.name for op in ops)
 
@@ -157,3 +162,102 @@ def test_resident_extractor_does_not_pin_the_lexicon(ray_session):
     while lex_id in counts() and time.monotonic() < deadline:
         time.sleep(0.2)
     assert lex_id not in counts()
+
+
+def test_linked_flagship_frees_every_cpu_when_dropped(ray_session,
+                                                     tables_ref):
+    """Right after a linked flagship Dataset is consumed and dropped,
+    with cyclic GC held off, Ray reports every CPU free: no operator of
+    the run still reserves one."""
+    import gc
+    import time
+
+    import ray
+    import ray.data as rd
+
+    from openie_backend_ray.pipelines.flagship import run_flagship
+
+    total = ray.cluster_resources()["CPU"]
+    gc.disable()
+    try:
+        ds = run_flagship(rd.from_arrow(_lines()).repartition(3),
+                          side_tables_ref=tables_ref)
+        assert ds.count() > 0
+        del ds
+        # the raylet's resource view lags the release by a report
+        deadline = time.monotonic() + 10
+        while (ray.available_resources().get("CPU", 0) < total
+               and time.monotonic() < deadline):
+            time.sleep(0.2)
+        assert ray.available_resources().get("CPU", 0) == total
+    finally:
+        gc.enable()
+
+
+def _in_process_rows(dedup: bool) -> list[str]:
+    """The rows one ``LinkerActor`` makes in this process from the
+    flagship's own G1 blobs."""
+    import ray.data as rd
+
+    from openie_backend_ray.stages.extract_pipeline import (
+        extract_and_combine,
+    )
+    from openie_backend_ray.stages.grouper import merge_blob_shuffle
+    from openie_backend_ray.stages.linker import LinkerActor
+
+    blobs = merge_blob_shuffle(extract_and_combine(
+        rd.from_arrow(_lines()).repartition(3), corpus="cw"))
+    batch = pa.concat_tables(blobs.iter_batches(batch_size=None,
+                                                batch_format="pyarrow"))
+    linker = LinkerActor(tables=_side_tables(), dedup=dedup)
+    return _rows(rd.from_arrow(linker(batch)))
+
+
+@pytest.mark.parametrize("dedup", [False, True], ids=["plain", "dedup"])
+def test_resident_linker_equals_in_process_linker(ray_session, tables_ref,
+                                                  dedup):
+    """Two linked flagship runs in one session, the second over warm
+    resident linkers, write the rows of one in-process
+    ``LinkerActor`` applied to the same blobs."""
+    import ray.data as rd
+
+    from openie_backend_ray.pipelines.flagship import run_flagship
+
+    want = _in_process_rows(dedup)
+    assert any('"fbid"' in r for r in want)  # links were made
+    for _ in range(2):
+        got = run_flagship(rd.from_arrow(_lines()).repartition(3),
+                           side_tables_ref=tables_ref, corpus="cw",
+                           dedup=dedup)
+        assert _rows(got) == want
+
+
+def test_resident_linker_does_not_pin_dropped_tables(ray_session):
+    """Task workers keep their linker after the Dataset ends. Once the
+    driver drops side tables A and a run over side tables B completes,
+    no worker still references A."""
+    import gc
+    import time
+
+    import ray
+    import ray.data as rd
+
+    from openie_backend_ray.pipelines.flagship import run_flagship
+    from openie_backend_ray.stages.linker import prepare_linker_tables
+
+    counts = ray._private.worker.global_worker.core_worker \
+        .get_all_reference_counts
+    def run(ref):
+        assert run_flagship(rd.from_arrow(_lines()).repartition(3),
+                            side_tables_ref=ref).count() > 0
+
+    a_ref = ray.put(prepare_linker_tables(_side_tables()))
+    a_id = a_ref.hex().encode()
+    run(a_ref)
+    del a_ref
+    gc.collect()
+    run(ray.put(prepare_linker_tables(_side_tables())))
+    deadline = time.monotonic() + 30
+    while a_id in counts() and time.monotonic() < deadline:
+        time.sleep(0.2)
+    assert a_id not in counts()

@@ -371,3 +371,38 @@ def test_sorted_map_range_matches_bisection():
         assert (SortedArrowMap(large, "k").range(x)["row"].to_pylist()
                 == bisect(x)["row"].to_pylist()), x
     assert SortedArrowMap(t.slice(0, 0), "k").range("a").num_rows == 0
+
+
+def test_sorted_map_values_equal_to_pylist():
+    """``SortedArrowMap.values`` reads a key range's values from the
+    column buffers; they equal ``to_pylist`` of the same rows for
+    every column type of the prepared side tables (non-ASCII strings,
+    int64, float64, lists of strings and of floats), for a column with
+    nulls, and on a sliced table (non-zero array offsets)."""
+    import pyarrow as pa
+
+    from openie_backend_ray.stages.linker import SortedArrowMap
+
+    keys = ["a", "a", "b", "é", "é", "é", "日本", "z"]
+    n = len(keys)
+    t = pa.table({
+        "k": pa.array(keys, pa.string()),
+        "s": pa.array([f"v{i}ß日" for i in range(n)], pa.string()),
+        "i": pa.array(range(n), pa.int64()),
+        "f": pa.array([i / 3 for i in range(n)], pa.float64()),
+        "ls": pa.array([[f"t{i}", "ü"][: i % 3] for i in range(n)],
+                       pa.list_(pa.string())),
+        "lf": pa.array([[i * 0.5] * (i % 2) for i in range(n)],
+                       pa.list_(pa.float64())),
+        "null": pa.array([None if i % 2 else f"x{i}" for i in range(n)],
+                         pa.string()),
+    })
+    for table in (t, t.slice(1, 6)):
+        m = SortedArrowMap(table, "k")
+        for x in set(keys) | {"0", "zz"}:
+            lo, hi = m.span(x)
+            rows = table.slice(lo, hi - lo)
+            assert rows.equals(m.range(x))
+            for col in table.column_names:
+                assert m.values(col, lo, hi) == rows[col].to_pylist(), \
+                    (x, col)

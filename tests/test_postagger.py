@@ -1,5 +1,7 @@
 """Perceptron tagger robustness: empty-string tokens (whitespace runs
-in real web text) and the averaged-away-bias compile guard."""
+in real web text), the averaged-away-bias compile guard, the compiled
+file format, and the int16 milli-weights being the float64 weights
+exactly."""
 
 from __future__ import annotations
 
@@ -140,3 +142,91 @@ def test_vendored_models_equal_their_dict_form():
     tagger = default_tagger()
     for s in _SENTS:
         assert tagger._tag_dictpath(s.split(" ")) == tagger.tag(s.split(" "))
+
+
+def _npz_weights(path: str):
+    """The ``.npz`` file's float64 weight triplets and dense matrix."""
+    import numpy as np
+
+    with np.load(path, allow_pickle=False) as z:
+        r, c, v = z["W_row"], z["W_col"], z["W_val"]
+        W = np.zeros(tuple(z["W_shape"].tolist()), dtype=np.float64)
+    W[r, c] = v
+    return r, c, v, W
+
+
+def test_milli_weights_equal_the_vendored_doubles():
+    """Each vendored model holds its weights as int16 ``K``, and
+    ``K / 1000.0`` is bitwise the ``.npz`` file's ``W_val`` doubles,
+    with no other nonzero."""
+    import numpy as np
+
+    for m in (default_tagger(), default_chunker()):
+        r, c, v, W = _npz_weights(m._PATH)
+        assert m._K.dtype == np.int16 and m._K.shape == W.shape
+        assert (m._K[r, c] / 1000.0).tobytes() == v.tobytes()
+        assert np.count_nonzero(m._K) == len(v)
+
+
+def test_context_scores_equal_the_float64_path():
+    """The raw context-score rows of both models, summed from ``K``,
+    are bitwise the float64 path's (``np.add.reduceat`` over the
+    ``.npz`` doubles), on every perfbench sentence at seeds 1-3."""
+    import tempfile
+
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from openie_backend_ray.functions.postagger import (
+        _END,
+        _START,
+        _normalize,
+        _row_sums,
+    )
+    from openie_backend_ray.stages.sentences import explode_text_spans
+    from perfbench import corpus, workloads
+
+    tagger, chunker = default_tagger(), default_chunker()
+    W_tag = _npz_weights(tagger._PATH)[3]
+    W_chunk = _npz_weights(chunker._PATH)[3]
+
+    def same(K, W, ids, offs):
+        want = np.add.reduceat(W[np.asarray(ids, dtype=np.intp)],
+                               np.asarray(offs, dtype=np.intp), axis=0)
+        return _row_sums(K, ids, offs).tobytes() == want.tobytes()
+
+    texts = set()
+    for seed in (1, 2, 3):
+        for name, size in workloads.SIZES.items():
+            with tempfile.TemporaryDirectory() as d:
+                world = corpus.World(seed, size["entities"])
+                if name == "web_dup":
+                    corpus.gen_web_dup(world, d, size["uniques"], 1)
+                else:
+                    corpus.gen_web_unique(world, d, size["sentences"])
+                t = pq.read_table(d)
+                if "spans" in t.column_names:
+                    t = explode_text_spans(t)
+                texts.update(t["text"].to_pylist())
+    assert len(texts) > 20_000
+    for s in sorted(texts):
+        toks = s.split(" ")
+        context = _START + [_normalize(w) for w in toks] + _END
+        ids, offs = tagger._context_ids(toks, context)
+        assert not offs or same(tagger._K, W_tag, ids, offs), s
+        poss = _START + tagger.tag(toks) + _END
+        ids, offs = chunker._context_ids(context, poss)
+        assert same(chunker._K, W_chunk, ids, offs), s
+
+
+def test_compile_rejects_weights_that_are_not_milli_values():
+    """A weight that is not an exact 3-decimal value, or is out of
+    int16 range at that scale, has no int16 form: compiling fails."""
+    import pytest
+
+    for bad in (0.0005, 1.0 / 3.0, 40.0):
+        t = PerceptronTagger()
+        t.model.classes = ["NN", "VB"]
+        t.model.weights = {"bias": {"NN": 1.0, "VB": bad}}
+        with pytest.raises(ValueError):
+            t._compile()
