@@ -2,10 +2,9 @@
 
 ``entry()`` runs the flagship KG-construction pipeline at sf0.001;
 ``queries()`` exposes one callable per implemented operator from
-SURVEY.md §2 plus the content-dedup (exact / winnowing / delta /
-simhash), input-sampling, training-data curation and multimodal-span
-operators; ``oracle_sql()`` gives each SQL-expressible query its DuckDB
-twin over the same parquet views.
+SURVEY.md §2 plus the content-dedup (winnowing / delta / simhash),
+input-sampling and multimodal-span operators; ``oracle_sql()`` gives
+each SQL-expressible query its DuckDB twin over the same parquet views.
 
 Ray is initialised by the driver BEFORE this module is imported: no
 ``ray.init()`` / ``ray.shutdown()`` here or in the library code.
@@ -134,7 +133,6 @@ def entry() -> Any:
 # ---------------------------------------------------------------------------
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from openie_backend_ray.ops import curation as CU
     from openie_backend_ray.ops import dedup as D
     from openie_backend_ray.ops import multimodal as MM
     from openie_backend_ray.stages.sentences import explode_text_spans
@@ -148,9 +146,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return _interleaved_docs(sf_dir).map_batches(
             MM.explode_media_spans, batch_format="pyarrow"
         )
-
-    def q_dedup_exact(sf_dir: str):
-        return D.exact_dedup(_read(sf_dir, "documents", ["doc_id", "text"]))
 
     def q_winnow_fingerprints(sf_dir: str):
         return D.winnow_fingerprints(
@@ -183,92 +178,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return hash_sample(
             _read(sf_dir, "documents", ["doc_id", "text"]), key="doc_id"
-        )
-
-    def q_decontaminate(sf_dir: str):
-        """Benchmark decontamination: the eval side is the deterministic
-        doc_id % 37 == 0 split (a stand-in for a fixed benchmark suite);
-        its distinct 5-grams are broadcast and probed per training
-        batch. k=5 instead of the published 13 because fixture docs are
-        10-99 tokens."""
-        import ray
-        import pyarrow as pa
-        docs = _read(sf_dir, "documents", ["doc_id", "text"])
-
-        def split(keep_eval: bool):
-            def body(b):
-                ids = b["doc_id"].to_numpy(zero_copy_only=False)
-                return b.filter(pa.array((ids % 37 == 0) == keep_eval))
-            return body
-
-        grams = CU.collect_eval_grams(
-            docs.map_batches(split(True), batch_format="pyarrow"), k=5
-        )
-        return CU.decontaminate(
-            docs.map_batches(split(False), batch_format="pyarrow"),
-            ray.put(grams), k=5,
-        )
-
-    def q_pii_redact(sf_dir: str):
-        """PII scrub over docs enriched with deterministic doc_id-derived
-        contact strings (the sf word-salad has no digits; the enrichment
-        is the same synthesize-from-the-table idiom as media_spans, and
-        the oracle derives the identical strings in SQL)."""
-        import pyarrow as pa
-        def enrich(b):
-            ids = b["doc_id"].to_numpy(zero_copy_only=False)
-            out = []
-            for i, t in zip(ids, b["text"].to_pylist()):
-                i = int(i)
-                if i % 7 == 0:
-                    t += " contact user" + str(i) + "@example.com"
-                if i % 5 == 0:
-                    t += (" call 555-" + str(100 + i % 900)
-                          + "-" + str(1000 + i % 9000))
-                if i % 11 == 0:
-                    t += (" from 10.0." + str(i % 256)
-                          + "." + str(1 + i % 254))
-                if i % 13 == 0:
-                    t += (" ssn " + str(100 + i % 900) + "-"
-                          + str(10 + i % 90) + "-" + str(1000 + i % 9000))
-                out.append(t)
-            return pa.table({"doc_id": b["doc_id"],
-                             "text": pa.array(out, pa.string())})
-
-        return CU.pii_redact(
-            _read(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(enrich, batch_format="pyarrow")
-        )
-
-    def q_stratified_sample(sf_dir: str):
-        return CU.stratified_sample(
-            _read(sf_dir, "documents", ["doc_id", "lang"]),
-            by="lang", target=50,
-        )
-
-    def q_mixture_resample(sf_dir: str):
-        """Multilingual sqrt-flattening: lang is the skewed column in
-        the sf data (en ~2.7x de), so the downsampling path actually
-        executes; source is uniform by construction."""
-        return CU.mixture_resample(
-            _read(sf_dir, "documents", ["doc_id", "lang"]),
-            by="lang",
-        )
-
-    def q_dup_ngram_coverage(sf_dir: str):
-        return CU.dup_ngram_coverage(
-            _read(sf_dir, "documents", ["doc_id", "text"]), k=5
-        )
-
-    def q_pack_sequences(sf_dir: str):
-        return CU.pack_sequences(
-            _read(sf_dir, "documents", ["doc_id", "text"]),
-            budget=2048, bucket_range=256,
-        )
-
-    def q_source_mix(sf_dir: str):
-        return CU.source_mix(
-            _read(sf_dir, "documents", ["doc_id", "text", "source"])
         )
 
     def q_media_features(sf_dir: str):
@@ -556,18 +465,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "answer_projections": q_answer_projections,
         "flagship_triples": _flagship_triples,
         # -- content dedup / sampling / sources / multimodal --------
-        "dedup_exact": q_dedup_exact,
         "winnow_fingerprints": q_winnow_fingerprints,
         "delta_dedup": q_delta_dedup,
         "hash_sample": q_hash_sample,
-        # -- curation family ------------------------------------------
-        "decontaminate": q_decontaminate,
-        "pii_redact": q_pii_redact,
-        "stratified_sample": q_stratified_sample,
-        "pack_sequences": q_pack_sequences,
-        "source_mix": q_source_mix,
-        "dup_ngram_coverage": q_dup_ngram_coverage,
-        "mixture_resample": q_mixture_resample,
         "explode_text_spans": q_explode_text_spans,
         "media_features": q_media_features,
         "media_frames": q_media_frames,
@@ -658,10 +558,6 @@ def oracle_sql() -> Mapping[str, str]:
                    'media://image/' || CAST(doc_id AS VARCHAR) AS media_ref
             FROM documents WHERE doc_id % 3 = 0
         """,
-        "dedup_exact": """
-            SELECT min(doc_id) AS doc_id, md5(text) AS text_md5
-            FROM documents GROUP BY md5(text)
-        """,
         # winnowing (k=3 grams, w=4 windows): selecting window-min by
         # VALUE makes the fingerprint set tie-rule-free, so list_min
         # over md5 hex == Python min over the same hex strings
@@ -683,193 +579,6 @@ def oracle_sql() -> Mapping[str, str]:
         "hash_sample": """
             SELECT doc_id, text FROM documents
             WHERE md5(CAST(doc_id AS VARCHAR)) < '4'
-        """,
-        # decontamination twin: distinct 5-grams per doc; eval split is
-        # doc_id % 37 = 0; LEFT JOIN + count(non-null) = is_in probe
-        "decontaminate": r"""
-            WITH t AS (SELECT doc_id,
-                              regexp_split_to_array(text, '\s+') AS toks
-                       FROM documents),
-            g AS (SELECT doc_id,
-                         list_distinct(list_transform(
-                           range(1, len(toks) - 3),
-                           i -> array_to_string(toks[i:i+4], ' ')))
-                           AS grams
-                  FROM t),
-            ev AS (SELECT DISTINCT unnest(grams) AS gram
-                   FROM g WHERE doc_id % 37 = 0),
-            tr AS (SELECT doc_id, unnest(grams) AS gram
-                   FROM g WHERE doc_id % 37 <> 0),
-            hits AS (SELECT tr.doc_id,
-                            count(*) AS n_grams,
-                            count(ev.gram) AS n_contaminated
-                     FROM tr LEFT JOIN ev USING (gram)
-                     GROUP BY tr.doc_id)
-            SELECT doc_id,
-                   CAST(n_grams AS BIGINT) AS n_grams,
-                   CAST(n_contaminated AS BIGINT) AS n_contaminated,
-                   CAST(n_contaminated AS DOUBLE) / n_grams
-                     AS contamination_frac,
-                   (CAST(n_contaminated AS DOUBLE) / n_grams >= 0.5)
-                     AS contaminated
-            FROM hits
-        """,
-        # PII twin: identical doc_id-derived enrichment, then the SAME
-        # RE2 patterns counted + replaced in the same sequence (pyarrow
-        # and DuckDB both embed RE2, so parity is byte-exact)
-        "pii_redact": r"""
-            WITH en AS (
-              SELECT doc_id,
-                     text
-                     || CASE WHEN doc_id % 7 = 0
-                        THEN ' contact user' || CAST(doc_id AS VARCHAR)
-                             || '@example.com' ELSE '' END
-                     || CASE WHEN doc_id % 5 = 0
-                        THEN ' call 555-'
-                             || CAST(100 + doc_id % 900 AS VARCHAR)
-                             || '-'
-                             || CAST(1000 + doc_id % 9000 AS VARCHAR)
-                        ELSE '' END
-                     || CASE WHEN doc_id % 11 = 0
-                        THEN ' from 10.0.'
-                             || CAST(doc_id % 256 AS VARCHAR) || '.'
-                             || CAST(1 + doc_id % 254 AS VARCHAR)
-                        ELSE '' END
-                     || CASE WHEN doc_id % 13 = 0
-                        THEN ' ssn ' || CAST(100 + doc_id % 900 AS VARCHAR)
-                             || '-' || CAST(10 + doc_id % 90 AS VARCHAR)
-                             || '-' || CAST(1000 + doc_id % 9000 AS VARCHAR)
-                        ELSE '' END AS t0
-              FROM documents),
-            s1 AS (SELECT doc_id,
-                          CAST(len(regexp_extract_all(t0,
-                            '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}'
-                          )) AS BIGINT) AS n_email,
-                          regexp_replace(t0,
-                            '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}',
-                            '<EMAIL>', 'g') AS t1
-                   FROM en),
-            s2 AS (SELECT doc_id, n_email,
-                          CAST(len(regexp_extract_all(t1,
-                            '\b[0-9]{3}-[0-9]{2}-[0-9]{4}\b'
-                          )) AS BIGINT) AS n_ssn,
-                          regexp_replace(t1,
-                            '\b[0-9]{3}-[0-9]{2}-[0-9]{4}\b',
-                            '<SSN>', 'g') AS t2
-                   FROM s1),
-            s3 AS (SELECT doc_id, n_email, n_ssn,
-                          CAST(len(regexp_extract_all(t2,
-                            '\b[0-9]{3}-[0-9]{3}-[0-9]{4}\b'
-                          )) AS BIGINT) AS n_phone,
-                          regexp_replace(t2,
-                            '\b[0-9]{3}-[0-9]{3}-[0-9]{4}\b',
-                            '<PHONE>', 'g') AS t3
-                   FROM s2),
-            s4 AS (SELECT doc_id, n_email, n_ssn, n_phone,
-                          CAST(len(regexp_extract_all(t3,
-                            '\b[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\b'
-                          )) AS BIGINT) AS n_ip,
-                          regexp_replace(t3,
-                            '\b[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\b',
-                            '<IP>', 'g') AS t4
-                   FROM s3)
-            SELECT doc_id, t4 AS clean_text,
-                   n_email, n_ssn, n_phone, n_ip
-            FROM s4
-        """,
-        "stratified_sample": """
-            SELECT lang, doc_id, sample_rank FROM (
-              SELECT lang, doc_id,
-                     CAST(row_number() OVER (
-                       PARTITION BY lang
-                       ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id
-                     ) AS BIGINT) AS sample_rank
-              FROM documents)
-            WHERE sample_rank <= 50
-        """,
-        # sqrt-temperature mixture resample twin: ONE int/int division
-        # + ONE sqrt (both IEEE-correctly-rounded) per source; the
-        # Bernoulli draw is the exact 52-bit md5 fraction, rebuilt
-        # from its first 13 hex digits
-        "mixture_resample": r"""
-            WITH c AS (SELECT lang, count(*) AS n
-                       FROM documents GROUP BY lang),
-            m AS (SELECT min(n) AS nmin FROM c),
-            r AS (SELECT lang,
-                         sqrt(CAST((SELECT nmin FROM m) AS DOUBLE)
-                              / CAST(n AS DOUBLE)) AS rate
-                  FROM c),
-            f AS (
-              SELECT d.doc_id, d.lang, r.rate,
-                     (SELECT sum(
-                        (strpos('0123456789abcdef',
-                           substr(md5(CAST(d.doc_id AS VARCHAR)),
-                                  i.i, 1)) - 1)
-                        * power(16.0, 13 - i.i))
-                      FROM (SELECT unnest(range(1, 14)) AS i) i)
-                     / power(2.0, 52) AS frac
-              FROM documents d JOIN r USING (lang))
-            SELECT doc_id, lang, rate FROM f WHERE frac < rate
-        """,
-        # duplicate-gram coverage twin: occurrence counts per (doc,
-        # gram), gram multiplicity via a self-aggregate, per-doc sums
-        "dup_ngram_coverage": r"""
-            WITH t AS (SELECT doc_id,
-                              regexp_split_to_array(text, '\s+') AS toks
-                       FROM documents),
-            g AS (SELECT doc_id,
-                         unnest(list_transform(
-                           range(1, len(toks) - 3),
-                           i -> array_to_string(toks[i:i+4], ' ')))
-                           AS gram
-                  FROM t),
-            oc AS (SELECT doc_id, gram, count(*) AS n_occ
-                   FROM g GROUP BY doc_id, gram),
-            gd AS (SELECT gram, count(*) AS n_docs
-                   FROM oc GROUP BY gram)
-            SELECT oc.doc_id,
-                   CAST(sum(oc.n_occ) AS BIGINT) AS n_grams,
-                   CAST(sum(CASE WHEN gd.n_docs > 1 THEN oc.n_occ
-                                 ELSE 0 END) AS BIGINT) AS dup_grams,
-                   CAST(sum(CASE WHEN gd.n_docs > 1 THEN oc.n_occ
-                                 ELSE 0 END) AS DOUBLE)
-                     / sum(oc.n_occ) AS dup_frac
-            FROM oc JOIN gd USING (gram)
-            GROUP BY oc.doc_id
-        """,
-        # concat-and-chop packing twin: the distributed prefix sum is a
-        # window sum in SQL (ints end-to-end, no FP divergence)
-        "pack_sequences": r"""
-            WITH t AS (
-              SELECT doc_id,
-                     CAST(len(regexp_split_to_array(text, '\s+'))
-                          AS BIGINT) AS n_tokens
-              FROM documents),
-            r AS (
-              SELECT doc_id, n_tokens,
-                     COALESCE(SUM(n_tokens) OVER (
-                       ORDER BY doc_id
-                       ROWS BETWEEN UNBOUNDED PRECEDING
-                            AND 1 PRECEDING), 0) AS rb
-              FROM t)
-            SELECT doc_id, n_tokens,
-                   CAST(rb // 2048 AS BIGINT) AS seq_id,
-                   CAST(rb % 2048 AS BIGINT) AS offset_in_seq
-            FROM r
-        """,
-        "source_mix": r"""
-            WITH s AS (
-              SELECT source,
-                     CAST(count(*) AS BIGINT) AS n_docs,
-                     CAST(sum(len(regexp_split_to_array(text, '\s+')))
-                          AS BIGINT) AS n_tokens
-              FROM documents GROUP BY source)
-            SELECT source, n_docs, n_tokens,
-                   CAST(n_docs AS DOUBLE) / SUM(n_docs) OVER ()
-                     AS doc_share,
-                   CAST(n_tokens AS DOUBLE) / SUM(n_tokens) OVER ()
-                     AS token_share
-            FROM s
         """,
         "simhash": f"""
             WITH {_SIMHASH_CTE}

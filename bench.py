@@ -179,9 +179,7 @@ def run_query_bench(sf_dir: str) -> dict:
 
     qs = E.queries()
     names = [
-        "dedup_exact", "winnow_fingerprints", "delta_dedup",
-        "decontaminate", "pii_redact", "stratified_sample",
-        "pack_sequences", "source_mix", "dup_ngram_coverage", "mixture_resample",
+        "winnow_fingerprints", "delta_dedup",
         "media_features", "extreme_filter",
         "regroup", "type_predictions",
         "openie4_triples", "group_extractions",

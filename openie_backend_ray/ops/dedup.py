@@ -1,10 +1,8 @@
 """Content dedup over the flat ``documents`` table: winnowed
 fingerprints and the delta-vs-store dedup the incremental ingest path
-runs (``pipelines/incremental.py``), plus exact (md5) dedup and 64-bit
-SimHash.
+runs (``pipelines/incremental.py``), plus 64-bit SimHash.
 
 Scale shape (the part that matters at 100 TB):
-- exact dedup shuffles only (md5, doc_id) pairs, never the text;
 - winnowing is batch-local (k-gram md5 -> window minimums); the delta
   dedup's only all-to-all is ONE fingerprint-hash-partitioned co-group
   of the side-tagged delta and store fingerprints, and the store side
@@ -38,31 +36,6 @@ def _dedup_tokens(text_col) -> list[list[str]]:
     with the oracle's replace(text, chr(30), ''))."""
     cleaned = pc.replace_substring(text_col, pattern=_SH_SEP, replacement="")
     return pc.split_pattern_regex(cleaned, r"\s+").to_pylist()
-
-
-# ---------------------------------------------------------------------------
-# exact dedup
-# ---------------------------------------------------------------------------
-
-def add_text_md5(batch: pa.Table) -> pa.Table:
-    """Vectorized md5(text) column (digest travels, raw text does not)."""
-    digests = [hashlib.md5(t.encode()).hexdigest()
-               for t in batch["text"].to_pylist()]
-    return pa.table(
-        {"doc_id": batch["doc_id"],
-         "text_md5": pa.array(digests, pa.string())}
-    )
-
-
-def exact_dedup(ds):
-    """Keep min doc_id per identical text -> (doc_id, text_md5)."""
-    hashed = ds.map_batches(add_text_md5, batch_format="pyarrow")
-    agg = hashed.groupby("text_md5").min("doc_id")
-    return agg.map_batches(
-        lambda b: pa.table({"doc_id": b["min(doc_id)"],
-                            "text_md5": b["text_md5"]}),
-        batch_format="pyarrow",
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -18,6 +20,8 @@ from openie_backend_ray.state.checkpoint import (
     run_sharded,
     shard_complete,
 )
+
+REPO = str(Path(__file__).resolve().parents[1])
 
 
 @pytest.fixture()
@@ -136,3 +140,51 @@ def test_rows_out_read_from_parquet_footers(tmp_path, inputs):
     assert m["metrics"] == {"rows_out": 10}
     with open(tmp_path / "shard=000" / MANIFEST, encoding="utf-8") as f:
         assert json.load(f)["metrics"]["rows_out"] == 10
+
+
+def _table(ds) -> pa.Table:
+    import ray
+
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+def _group_rows(ds) -> list:
+    """Order-free form of a GROUPS Dataset: one (triple, size, sorted
+    instances) tuple per group."""
+    return sorted(
+        (r["arg1_norm"], r["rel_norm"], r["arg2_norm"], r["size"],
+         sorted(repr(i) for i in r["instances"]))
+        for r in _table(ds).to_pylist()
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the G3 near-duplicate instance dedup runs inside each "
+           "shard's flagship, and regroup concatenates the per-shard "
+           "instances without deduping them again, so two near-duplicate "
+           "sentences in different shards both survive (12 of 658 groups "
+           "have size 2 where the whole run has 1; equal with dedup=False)",
+)
+def test_sharded_regroup_matches_whole_run(ray_session):
+    """The resumable flagship's claim: a flagship run per input shard,
+    then ``regroup`` over the union, equals one run over every
+    document.  Two disjoint halves of the sf0.001 interleaved docs, no
+    lexicon, no side tables."""
+    import ray.data
+
+    from openie_backend_ray.pipelines.flagship import run_flagship
+    from openie_backend_ray.stages.postgroup import regroup
+
+    sys.path.insert(0, REPO)
+    import __ray_entry__ as E
+
+    docs = _table(E._interleaved_docs(E.SF_SMOKE)).sort_by("doc_id")
+    half = docs.num_rows // 2
+    shards = [
+        run_flagship(ray.data.from_arrow(part)).materialize()
+        for part in (docs.slice(0, half), docs.slice(half))
+    ]
+    whole = run_flagship(ray.data.from_arrow(docs))
+    sharded = regroup(shards[0].union(shards[1]))
+    assert _group_rows(sharded) == _group_rows(whole)

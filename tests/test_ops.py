@@ -193,8 +193,8 @@ def test_real_decoder_is_stubbed():
 
 @pytest.mark.parametrize(
     "name",
-    ["dedup_exact", "hash_sample", "simhash", "winnow_fingerprints",
-     "delta_dedup", "explode_text_spans", "media_spans", "media_features"],
+    ["hash_sample", "simhash", "winnow_fingerprints", "delta_dedup",
+     "explode_text_spans", "media_spans", "media_features"],
 )
 def test_oracle_parity_spot(ray_session, name):
     """Same comparison the driver runs: row count + sorted columns +
@@ -329,7 +329,9 @@ def test_kg_entries_inside_driver_window():
     """The driver's correctness check caps at the FIRST 50 registered
     queries() entries; every KG-core operator (the reference's whole
     purpose) is registered, and the registry fits inside that window,
-    so no entry goes unchecked."""
+    so no entry goes unchecked.  Every other entry has a named reason,
+    so an unused entry added, or a deleted one brought back, fails
+    here."""
     import sys
 
     sys.path.insert(0, REPO)
@@ -343,7 +345,19 @@ def test_kg_entries_inside_driver_window():
         "extreme_filter", "dedup_groups", "filter_groups",
         "head_phrases", "answer_projections", "flagship_triples",
     ]
-    assert set(kg) <= set(order)
+    named = [
+        # the incremental path's near-duplicate check
+        "winnow_fingerprints", "delta_dedup",
+        # the reference's FileSampler
+        "hash_sample",
+        # the only exact check of the front-end's span explode
+        "explode_text_spans",
+        # the media side of the interleaved input, judged on its own
+        "media_features", "media_frames", "media_spans",
+        # the only exact check of simhash_batch
+        "simhash",
+    ]
+    assert set(order) == set(kg) | set(named)
     assert len(order) <= 50
 
 
